@@ -12,7 +12,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz
+//	GET  /api/ping                             (static liveness probe)
 //	GET  /api/highlights?video=ID&k=5
 //	POST /api/interactions?video=ID            (JSON array of player events)
 //	GET  /api/interactions?video=ID&offset=N&limit=M (paginated event log)
@@ -30,18 +30,18 @@
 // and video id to its owner node, misrouted writes are forwarded to the
 // owner over pooled keep-alive connections, misrouted reads answer 307
 // so viewers stream straight from the owner, and the /api/cluster/*
-// endpoints (handoff, resume, route, down, owned, replica) rebalance live
-// channels between nodes without ending their broadcasts. With -data-dir
-// too, every checkpoint additionally ships to -replicas ring-successor
-// standbys, so when a node dies together with its disk the survivors
-// resume its channels from their local replica areas (healthz reports
-// them under "resumed_from"). The control
-// plane shares the public listener, so cluster mode requires
-// -cluster-secret (the same value on every node); /api/cluster/*
+// endpoints (handoff, route, down, owned, replica) rebalance live
+// channels between nodes without ending their broadcasts. Every
+// checkpoint ships to -replicas ring-successor standbys (kept under
+// <data-dir>/replicas), so when a node dies together with its disk the
+// survivors resume its channels from their local replica areas (healthz
+// reports them under "resumed_from"); a handoff moves the same checkpoint
+// envelope. Cluster mode therefore requires -data-dir (its own per node).
+// The control plane shares the public listener, so cluster mode also
+// requires -cluster-secret (the same value on every node); /api/cluster/*
 // requests without the matching X-Lightor-Cluster-Key header are
-// refused. Give each node its own -data-dir. Without -peers nothing
-// changes: single-node operation is the default and pays no routing
-// overhead.
+// refused. Without -peers nothing changes: single-node operation is the
+// default and pays no routing overhead.
 //
 // With -pprof-addr the standard net/http/pprof handlers are served on a
 // separate listener (off by default), so production ingest hot spots can
@@ -57,8 +57,7 @@
 // terminal "end" event (so their long-lived SSE responses finish instead
 // of pinning the HTTP drain), in-flight requests finish, queued live chat
 // is processed, background refinements complete, live sessions write
-// final checkpoints, and the durable store compacts (or, without
-// -data-dir, the optional -store snapshot is written).
+// final checkpoints, and the durable store compacts.
 package main
 
 import (
@@ -94,7 +93,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "engine session/refine workers (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful-drain timeout on shutdown")
-	storePath := flag.String("store", "", "optional store snapshot path: loaded at start, saved on SIGINT/SIGTERM (superseded by -data-dir)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots): interactions and live-session checkpoints survive a crash, and startup replays the log and resumes live channels")
 	eventRetention := flag.Int("event-retention", 100000, "max interaction events retained per video (0 = unlimited)")
 	ckptInterval := flag.Duration("checkpoint-interval", 15*time.Second, "live-session checkpoint cadence with -data-dir (0 or negative disables the interval loop; emit and drain checkpoints always run)")
@@ -114,8 +112,7 @@ func main() {
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0, "per-probe deadline (0 = -heartbeat-interval)")
 	clusterCallTimeout := flag.Duration("cluster-call-timeout", 10*time.Second, "per-attempt deadline on node-to-node calls (forwarded writes and control plane)")
 	clusterRetries := flag.Int("cluster-retries", 3, "attempts per node-to-node call; transport failures retry with jittered backoff, any HTTP response is final")
-	replicaCount := flag.Int("replicas", 1, "standby checkpoint replicas per channel in cluster mode with -data-dir: each checkpoint ships asynchronously to this many ring successors so a node's channels survive losing the node AND its disk (minimum 1)")
-	replicaDir := flag.String("replica-dir", "", "directory for OTHER nodes' replicated checkpoints (default <data-dir>/replicas); kept apart from -data-dir state so startup resume never adopts a standby copy")
+	replicaCount := flag.Int("replicas", 1, "standby checkpoint replicas per channel in cluster mode: each checkpoint ships asynchronously to this many ring successors so a node's channels survive losing the node AND its disk (minimum 1)")
 	flag.Parse()
 
 	// Fault injection is opt-in via LIGHTOR_FAILPOINTS and refuses to be
@@ -140,6 +137,12 @@ func main() {
 		// secret that gates it.
 		if *clusterSecret == "" {
 			log.Fatalf("cluster mode requires -cluster-secret (the /api/cluster/* control plane shares the public listener)")
+		}
+		// Checkpoints are how a channel's state moves between nodes —
+		// replicated to standbys, handed off, adopted on failover — and
+		// only the durable store takes them.
+		if *dataDir == "" {
+			log.Fatalf("cluster mode requires -data-dir (checkpoint replication and handoff move durable checkpoints)")
 		}
 		peers, err := cluster.ParsePeers(*peersSpec)
 		if err != nil {
@@ -229,11 +232,10 @@ func main() {
 	log.Printf("simulated platform API at %s", apiSrv.URL)
 
 	// Storage: a durable WAL+snapshot backend under -data-dir, or the
-	// in-memory store (optionally seeded from a -store snapshot file).
+	// in-memory store.
 	var store *platform.Store
 	durable := *dataDir != ""
-	switch {
-	case durable:
+	if durable {
 		backend, err := platform.OpenFileBackend(*dataDir, platform.FileConfig{
 			EventRetention: *eventRetention,
 		})
@@ -242,18 +244,7 @@ func main() {
 		}
 		store = platform.NewStoreWith(backend)
 		log.Printf("durable store at %s recovered: %d videos", *dataDir, len(store.VideoIDs()))
-	case *storePath != "":
-		store = platform.NewStore()
-		if f, err := os.Open(*storePath); err == nil {
-			loaded, err := platform.LoadStore(f)
-			f.Close()
-			if err != nil {
-				log.Fatalf("loading store snapshot: %v", err)
-			}
-			store = loaded
-			log.Printf("restored store snapshot with %d videos", len(store.VideoIDs()))
-		}
-	default:
+	} else {
 		store = platform.NewStore()
 	}
 	crawler := &platform.Crawler{BaseURL: apiSrv.URL, Store: store}
@@ -320,32 +311,28 @@ func main() {
 		log.Printf("WARNING: admission control disabled — queues are unbounded under overload")
 	}
 
-	// Checkpoint replication: cluster mode with a durable store ships every
-	// checkpoint to ring-successor standbys and resumes dead peers'
-	// channels from the local replica area. Needs both — without peers
-	// there is nowhere to ship, without checkpoints nothing to ship.
+	// Checkpoint replication: a cluster node ships every checkpoint to
+	// ring-successor standbys, files peers' envelopes in its replica area
+	// (kept apart from its own state so startup resume never adopts a
+	// standby copy), and resumes dead peers' channels from it.
 	var replicator *platform.Replicator
-	if clusterNode != nil && durable {
-		rdir := *replicaDir
-		if rdir == "" {
-			rdir = filepath.Join(*dataDir, "replicas")
-		}
+	if clusterNode != nil {
+		rdir := filepath.Join(*dataDir, "replicas")
 		replicaStore, err := platform.OpenReplicaStore(rdir)
+		if replicaStore == nil {
+			log.Fatalf("replica store at %s: %v", rdir, err)
+		}
 		if err != nil {
 			log.Printf("replica store at %s (continuing with healthy replicas): %v", rdir, err)
 		}
-		if replicaStore != nil {
-			cadence := *heartbeatInterval
-			if cadence <= 0 {
-				cadence = time.Second
-			}
-			replicator = platform.NewReplicator(svc, replicaStore, *replicaCount, cadence)
-			replicator.Start()
-			log.Printf("checkpoint replication: %d standby(s) per channel, replica area %s, anti-entropy every %s",
-				*replicaCount, rdir, cadence)
+		cadence := *heartbeatInterval
+		if cadence <= 0 {
+			cadence = time.Second
 		}
-	} else if clusterNode != nil {
-		log.Printf("checkpoint replication disabled: requires -data-dir (no checkpoints to ship)")
+		replicator = platform.NewReplicator(svc, replicaStore, *replicaCount, cadence)
+		replicator.Start()
+		log.Printf("checkpoint replication: %d standby(s) per channel, replica area %s, anti-entropy every %s",
+			*replicaCount, rdir, cadence)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
@@ -357,7 +344,7 @@ func main() {
 	}()
 
 	// Graceful drain: stop accepting HTTP, drain the engine (queued live
-	// chat and in-flight refine jobs), then snapshot the store.
+	// chat and in-flight refine jobs), then compact the durable store.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	<-sigs
@@ -391,17 +378,6 @@ func main() {
 		} else {
 			log.Printf("durable store compacted and closed")
 		}
-	}
-	if !durable && *storePath != "" {
-		f, err := os.Create(*storePath)
-		if err != nil {
-			log.Fatalf("saving store snapshot: %v", err)
-		}
-		if err := store.Save(f); err != nil {
-			log.Fatalf("saving store snapshot: %v", err)
-		}
-		f.Close()
-		log.Printf("store snapshot saved to %s", *storePath)
 	}
 	log.Printf("shutdown complete")
 }

@@ -13,7 +13,8 @@ package cluster_test
 //     "degraded" reason, healthz reports the mode and cause
 //   - after the faulted node is SIGKILLed, the survivors notice by
 //     heartbeat alone — no operator POST /api/cluster/down anywhere in
-//     this test — and the cluster converges
+//     this test — and adopt its channels from their standby replicas
+//     (healthz reports resumed_from: replica for each)
 //   - the final emission histories are byte-identical to a fault-free
 //     single-process reference run: nothing acknowledged was lost,
 //     nothing was double-applied
@@ -280,77 +281,15 @@ func TestClusterChaosDrill(t *testing.T) {
 		waitPeerDown(t, nodes[id], victim)
 	}
 
-	// ---- Failover: the operator resumes the victim's channels from its ----
-	// durable checkpoints on the ring successors. The victim's WAL ends in
-	// the poisoned write; recovery replays the acked prefix.
-	backend, err := platform.OpenFileBackend(dirs[victim], platform.FileConfig{})
-	if err != nil {
-		t.Fatalf("opening victim data dir: %v", err)
-	}
-	vstore := platform.NewStoreWith(backend)
-	ckpts := make(map[string][]byte)
-	for ch, state := range vstore.Checkpoints() {
-		ckpts[ch] = append([]byte(nil), state...)
-	}
-	if err := vstore.Close(); err != nil {
-		t.Fatalf("closing victim store: %v", err)
-	}
-
-	resumeFrom := make(map[string]float64, len(byOwner[victim]))
+	// ---- Failover, hands-off: each survivor adopts, from its local ----
+	// replica area, the victim channels the ring now places on it. The
+	// victim's replicas froze at its last durable checkpoint when its disk
+	// failed, so they hold exactly what a local recovery would replay.
+	waitReplicaFailover(t, nodes, survivors, numChannels, byOwner[victim])
 	for _, ch := range byOwner[victim] {
-		state, ok := ckpts[ch]
-		if !ok {
-			t.Fatalf("victim %s has no checkpoint for owned channel %s", victim, ch)
-		}
-		newOwner := ring.OwnerSkipping(ch, func(id string) bool { return id == victim })
-		if newOwner == "" || newOwner == victim {
-			t.Fatalf("no successor for %s", ch)
-		}
-		resp := drillClusterPost(t, nodes[newOwner].base+"/api/cluster/resume?channel="+ch, state)
-		var hr platform.HandoffResponse
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			t.Fatalf("resume %s on %s: status %d: %s", ch, newOwner, resp.StatusCode, body)
-		}
-		if err := jsonDecode(resp.Body, &hr); err != nil {
-			t.Fatalf("decoding resume response: %v", err)
-		}
-		resp.Body.Close()
-		resumeFrom[ch] = hr.Watermark
-		owners[ch] = newOwner
-		for _, id := range survivors {
-			if id == newOwner {
-				continue
-			}
-			rresp := drillClusterPost(t, nodes[id].base+"/api/cluster/route?channel="+ch+"&owner="+newOwner, nil)
-			rresp.Body.Close()
-			if rresp.StatusCode != http.StatusOK {
-				t.Fatalf("routing %s->%s on %s: status %d", ch, newOwner, id, rresp.StatusCode)
-			}
-		}
+		owners[ch] = ring.OwnerSkipping(ch, func(id string) bool { return id == victim })
 	}
-
-	// Convergence: every channel resident on exactly one survivor.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		resident := make(map[string]int)
-		total := 0
-		for _, id := range survivors {
-			hr := drillHealth(t, nodes[id].base)
-			total += hr.Sessions
-			for _, ch := range hr.Channels {
-				resident[ch]++
-			}
-		}
-		if total == numChannels && len(resident) == numChannels {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never converged: %d sessions, residents %v", total, resident)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	resumeFrom := drillResumePoints(t, nodes, byOwner[victim], owners)
 
 	// ---- Phase 2: finish every broadcast through the survivors, still ----
 	// under transport chaos. Failed-over channels restart from the resume

@@ -262,9 +262,9 @@ func (n *Node) mutate(fn func(st *routeState)) {
 
 // SetDown marks a member down (or back up). Keys owned by a down member
 // remap to their ring successors — and only those keys move. Marking a
-// node down does not transfer its state; resume its channels from their
-// checkpoints (POST /api/cluster/resume on the new owners) before
-// producers continue, or the channels restart fresh.
+// node down does not itself transfer state: the OnPeerDown observer (the
+// platform's replica failover) adopts the dead member's channels on their
+// new owners from standby checkpoint replicas.
 func (n *Node) SetDown(id string, down bool) error {
 	if _, ok := n.addrs[id]; !ok {
 		return fmt.Errorf("cluster: unknown node %q", id)

@@ -36,7 +36,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"lightor/internal/cluster"
 	"lightor/internal/core"
@@ -186,12 +185,8 @@ func TestClusterDiskLossDrill(t *testing.T) {
 		}
 	}
 
-	// ---- Replication catch-up gate: the lag contract, observed through ----
-	// the extended owned report. Ingest is quiescent, so the victim's
-	// interval checkpoints (150ms) settle at its final detector clock; the
-	// standby has caught up when its stored replica watermark equals the
-	// victim's live watermark for every channel, whatever the send faults
-	// dropped along the way.
+	// ---- Replication catch-up gate: the lag contract, whatever the ----
+	// send faults dropped along the way.
 	successorFor := func(ch string) string {
 		s := ring.OwnerSkipping(ch, func(id string) bool { return id == victim })
 		if s == "" || s == victim {
@@ -199,33 +194,8 @@ func TestClusterDiskLossDrill(t *testing.T) {
 		}
 		return s
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		victimOwned := drillOwnedReport(t, nodes[victim].base)
-		reports := make(map[string]platform.OwnedResponse, 2)
-		for _, id := range ids {
-			if id != victim {
-				reports[id] = drillOwnedReport(t, nodes[id].base)
-			}
-		}
-		caughtUp := true
-		for _, ch := range byOwner[victim] {
-			wm, live := victimOwned.Owned[ch]
-			have, stored := reports[successorFor(ch)].Replicas[ch]
-			if !live || !stored || have < wm {
-				caughtUp = false
-				break
-			}
-		}
-		if caughtUp {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby replicas never caught up: victim %v, reports %v",
-				victimOwned, reports)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitStandbysCaughtUp(t, nodes, victim, byOwner[victim], successorFor)
+
 	// Version-monotone watch, seeded after catch-up and before the loss.
 	cursors := make(map[string]int, numChannels)
 	for _, ch := range channels {
@@ -254,58 +224,16 @@ func TestClusterDiskLossDrill(t *testing.T) {
 	// peer-down observer resumes, from its local replica area, exactly the
 	// victim channels the ring now places on it, pins ownership, and
 	// reports the source on healthz.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		resident := make(map[string]int)
-		total := 0
-		resumed := make(map[string]string)
-		for _, id := range survivors {
-			hr := drillHealth(t, nodes[id].base)
-			total += hr.Sessions
-			for _, ch := range hr.Channels {
-				resident[ch]++
-			}
-			for ch, src := range hr.ResumedFrom {
-				resumed[ch] = src
-			}
-		}
-		converged := total == numChannels && len(resident) == numChannels
-		for _, ch := range byOwner[victim] {
-			if resumed[ch] != "replica" {
-				converged = false
-			}
-		}
-		if converged {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors never self-healed: %d sessions, residents %v, resumed %v",
-				total, resident, resumed)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitReplicaFailover(t, nodes, survivors, numChannels, byOwner[victim])
 
 	// ---- Phase 2: finish every broadcast through the survivors, still ----
 	// under chaos. Failed-over channels restart from the watermark the NEW
 	// owner reports — the producer's only source, since the victim's disk
 	// no longer exists.
-	resumeFrom := make(map[string]float64, len(byOwner[victim]))
 	for _, ch := range byOwner[victim] {
-		newOwner := successorFor(ch)
-		owners[ch] = newOwner
-		resp := drillClusterGet(t, nodes[newOwner].base+"/api/cluster/owned?channel="+ch)
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-			resp.Body.Close()
-			t.Fatalf("owned probe %s on %s: status %d: %s", ch, newOwner, resp.StatusCode, body)
-		}
-		var hr platform.HandoffResponse
-		if err := jsonDecode(resp.Body, &hr); err != nil {
-			t.Fatalf("decoding owned probe: %v", err)
-		}
-		resp.Body.Close()
-		resumeFrom[ch] = hr.Watermark
+		owners[ch] = successorFor(ch)
 	}
+	resumeFrom := drillResumePoints(t, nodes, byOwner[victim], owners)
 	rr = 0
 	for _, ch := range channels {
 		msgs := streams[ch]

@@ -4,8 +4,8 @@ package cluster_test
 // spawns three real lightor-server processes as a channel-sharded
 // cluster, streams live chat at all of them (deliberately misrouting
 // batches so the forwarding path carries real traffic), SIGKILLs one
-// node mid-broadcast, fails its channels over to the survivors via the
-// /api/cluster/* protocol, and finishes every broadcast. The verdict is
+// node mid-broadcast, lets the survivors adopt its channels from their
+// standby checkpoint replicas, and finishes every broadcast. The verdict is
 // exact: each channel's final emission history must be byte-for-byte the
 // history an uninterrupted single-process server produces from the same
 // messages, and every dots poll observed along the way must be
@@ -55,7 +55,7 @@ var drillTrainArgs = []string{
 
 // drillSecret is the shared cluster secret the drill's nodes start with;
 // every /api/cluster/* call the drill makes must present it, exactly as
-// a real recovery operator would.
+// a real operator would.
 const drillSecret = "drill-cluster-secret"
 
 // buildDrillServer compiles cmd/lightor-server once per drill run,
@@ -413,9 +413,15 @@ func TestClusterKillNodeDrill(t *testing.T) {
 	for _, ch := range channels {
 		cursors[ch] = drillDots(t, nodes[ids[0]].base, ch).Cursor
 	}
-	// Let at least two interval checkpoints land so the victim's WAL holds
-	// recent state for every channel it owns.
-	time.Sleep(600 * time.Millisecond)
+	// Every standby must hold the victim's latest state before the kill.
+	successorFor := func(ch string) string {
+		s := ring.OwnerSkipping(ch, func(id string) bool { return id == victim })
+		if s == "" || s == victim {
+			t.Fatalf("no successor for %s", ch)
+		}
+		return s
+	}
+	waitStandbysCaughtUp(t, nodes, victim, byOwner[victim], successorFor)
 
 	// ---- The failure: SIGKILL the victim mid-broadcast. ----
 	nodes[victim].kill(t)
@@ -433,84 +439,18 @@ func TestClusterKillNodeDrill(t *testing.T) {
 		}
 	}
 
-	// ---- Failover: replay the victim's durable checkpoints onto the ----
-	// ring successors. The victim is dead, so its data dir is free to
-	// open in-process — this is the recovery operator's move.
-	backend, err := platform.OpenFileBackend(dirs[victim], platform.FileConfig{})
-	if err != nil {
-		t.Fatalf("opening victim data dir: %v", err)
-	}
-	vstore := platform.NewStoreWith(backend)
-	ckpts := make(map[string][]byte)
-	for ch, state := range vstore.Checkpoints() {
-		ckpts[ch] = append([]byte(nil), state...)
-	}
-	if err := vstore.Close(); err != nil {
-		t.Fatalf("closing victim store: %v", err)
-	}
-
-	resumeFrom := make(map[string]float64, len(byOwner[victim]))
+	// ---- Failover: marking the victim down is the only operator move. ----
+	// Each survivor adopts, from its local replica area, the victim
+	// channels the ring now places on it.
+	waitReplicaFailover(t, nodes, survivors, numChannels, byOwner[victim])
 	for _, ch := range byOwner[victim] {
-		state, ok := ckpts[ch]
-		if !ok {
-			t.Fatalf("victim %s has no checkpoint for owned channel %s", victim, ch)
-		}
-		// Same skip-walk the survivors' routing layer performs.
-		newOwner := ring.OwnerSkipping(ch, func(id string) bool { return id == victim })
-		if newOwner == "" || newOwner == victim {
-			t.Fatalf("no successor for %s", ch)
-		}
-		resp := drillClusterPost(t, nodes[newOwner].base+"/api/cluster/resume?channel="+ch, state)
-		var hr platform.HandoffResponse
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			t.Fatalf("resume %s on %s: status %d: %s", ch, newOwner, resp.StatusCode, body)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-			t.Fatalf("decoding resume response: %v", err)
-		}
-		resp.Body.Close()
-		resumeFrom[ch] = hr.Watermark
-		owners[ch] = newOwner
-		// Tell the other survivor where the channel now lives.
-		for _, id := range survivors {
-			if id == newOwner {
-				continue
-			}
-			rresp := drillClusterPost(t, nodes[id].base+"/api/cluster/route?channel="+ch+"&owner="+newOwner, nil)
-			rresp.Body.Close()
-			if rresp.StatusCode != http.StatusOK {
-				t.Fatalf("routing %s->%s on %s: status %d", ch, newOwner, id, rresp.StatusCode)
-			}
-		}
+		owners[ch] = successorFor(ch)
 	}
-
-	// Convergence check through the health endpoint: every channel is
-	// resident on exactly one survivor.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resident := make(map[string]int)
-		total := 0
-		for _, id := range survivors {
-			hr := drillHealth(t, nodes[id].base)
-			total += hr.Sessions
-			for _, ch := range hr.Channels {
-				resident[ch]++
-			}
-		}
-		if total == numChannels && len(resident) == numChannels {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never converged: %d sessions, residents %v", total, resident)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	resumeFrom := drillResumePoints(t, nodes, byOwner[victim], owners)
 
 	// ---- Phase 2: finish every broadcast through the survivors. ----
-	// Failed-over channels resume from the watermark the resume endpoint
-	// reported: first message strictly after it, no skips, no refeeds.
+	// Failed-over channels resume from the watermark their new owner
+	// reports: first message strictly after it, no skips, no refeeds.
 	rr = 0
 	for _, ch := range channels {
 		msgs := streams[ch]
@@ -558,4 +498,100 @@ func TestClusterKillNodeDrill(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitStandbysCaughtUp is the replication lag gate, observed through the
+// extended /api/cluster/owned report: with ingest quiescent, the victim's
+// interval checkpoints settle at its final detector clock, and each of its
+// channels' standby has caught up once its stored replica watermark
+// reaches the victim's live watermark.
+func waitStandbysCaughtUp(t *testing.T, nodes map[string]*drillProc, victim string, channels []string, successorFor func(string) string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		victimOwned := drillOwnedReport(t, nodes[victim].base)
+		reports := make(map[string]platform.OwnedResponse, len(nodes)-1)
+		for id, p := range nodes {
+			if id != victim {
+				reports[id] = drillOwnedReport(t, p.base)
+			}
+		}
+		caughtUp := true
+		for _, ch := range channels {
+			wm, live := victimOwned.Owned[ch]
+			have, stored := reports[successorFor(ch)].Replicas[ch]
+			if !live || !stored || have.Watermark < wm {
+				caughtUp = false
+				break
+			}
+		}
+		if caughtUp {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby replicas never caught up: victim %v, reports %v", victimOwned, reports)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// waitReplicaFailover polls the survivors' healthz until every channel is
+// resident on exactly one of them and each of the victim's channels is
+// reported as resumed_from: replica — adopted from a standby envelope,
+// never from the victim's disk.
+func waitReplicaFailover(t *testing.T, nodes map[string]*drillProc, survivors []string, numChannels int, victimChannels []string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resident := make(map[string]int)
+		total := 0
+		resumed := make(map[string]string)
+		for _, id := range survivors {
+			hr := drillHealth(t, nodes[id].base)
+			total += hr.Sessions
+			for _, ch := range hr.Channels {
+				resident[ch]++
+			}
+			for ch, src := range hr.ResumedFrom {
+				resumed[ch] = src
+			}
+		}
+		converged := total == numChannels && len(resident) == numChannels
+		for _, ch := range victimChannels {
+			if resumed[ch] != "replica" {
+				converged = false
+			}
+		}
+		if converged {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("survivors never self-healed: %d sessions, residents %v, resumed %v",
+				total, resident, resumed)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// drillResumePoints asks each failed-over channel's new owner for the
+// watermark its producer continues from (GET /api/cluster/owned?channel=)
+// — the producer's only source once the old owner is gone.
+func drillResumePoints(t *testing.T, nodes map[string]*drillProc, channels []string, owners map[string]string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64, len(channels))
+	for _, ch := range channels {
+		resp := drillClusterGet(t, nodes[owners[ch]].base+"/api/cluster/owned?channel="+ch)
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+			resp.Body.Close()
+			t.Fatalf("owned probe %s on %s: status %d: %s", ch, owners[ch], resp.StatusCode, body)
+		}
+		var hr platform.HandoffResponse
+		if err := jsonDecode(resp.Body, &hr); err != nil {
+			t.Fatalf("decoding owned probe: %v", err)
+		}
+		resp.Body.Close()
+		out[ch] = hr.Watermark
+	}
+	return out
 }

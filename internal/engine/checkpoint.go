@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
 )
 
 // CheckpointStore is the durability seam for live sessions: the engine
@@ -49,21 +48,17 @@ type CheckpointListener interface {
 
 // snapshotter is the optional session-backend capability behind
 // checkpointing. Live (online) backends implement it; replay backends do
-// not — a batch job has nothing worth resuming.
+// not — a batch job has nothing worth resuming. now is the detector clock
+// the latest snapshot captures. The session watermark cannot stand in for
+// it: the mailbox watermark advances at enqueue time and may run ahead of
+// the state a checkpoint serializes.
 type snapshotter interface {
 	snapshotInto(dst []byte) []byte
-}
-
-func (b onlineBackend) snapshotInto(dst []byte) []byte { return b.od.AppendSnapshot(dst) }
-
-// clocked exposes the detector clock captured by the latest snapshot. The
-// session watermark cannot stand in for it: the mailbox watermark advances
-// at enqueue time and may run ahead of the state a checkpoint serializes.
-type clocked interface {
 	now() float64
 }
 
-func (b onlineBackend) now() float64 { return b.od.Now() }
+func (b onlineBackend) snapshotInto(dst []byte) []byte { return b.od.AppendSnapshot(dst) }
+func (b onlineBackend) now() float64                   { return b.od.Now() }
 
 // checkpointLocked serializes the session's detector into the store.
 // Caller holds s.detMu, so the snapshot is consistent with every envelope
@@ -86,11 +81,7 @@ func (s *Session) checkpointLocked() error {
 	// owner freezes its replicas at the last durable state, consistent with
 	// what a local restart would resume).
 	if lp := s.mgr.ckptListener.Load(); lp != nil {
-		var wm float64
-		if c, ok := s.det.(clocked); ok {
-			wm = c.now()
-		}
-		(*lp).CheckpointSaved(s.channel, s.snapBuf, wm)
+		(*lp).CheckpointSaved(s.channel, s.snapBuf, snap.now())
 	}
 	return nil
 }

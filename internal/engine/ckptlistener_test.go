@@ -165,7 +165,7 @@ func TestRestoreSessionNotifiesListener(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	state, err := engA.Sessions().DetachSession(ctx, "ch")
+	state, _, err := engA.Sessions().DetachSession(ctx, "ch")
 	if err != nil {
 		t.Fatal(err)
 	}

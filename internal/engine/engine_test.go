@@ -246,6 +246,45 @@ func TestRefineQueueCompletion(t *testing.T) {
 	}
 }
 
+// TestRefineDoneAfterOnDone: a job must not read "done" while its onDone
+// callback (the service's boundary store) is still running — a poller
+// that sees done and re-reads the stored result would get the old one.
+func TestRefineDoneAfterOnDone(t *testing.T) {
+	init, target := trainedFixture(t)
+	eng := newTestEngine(t, init, Config{RefineWorkers: 2})
+	dots, err := init.Detect(target.Chat.Log, target.Video.Duration, 2)
+	if err != nil || len(dots) == 0 {
+		t.Fatalf("no dots to refine (err %v)", err)
+	}
+	entered := make(chan RefineJob, 1)
+	release := make(chan struct{})
+	job, err := eng.Refine().Enqueue("vid", dots, crowdFor(t, target.Video, dots), func(done RefineJob) {
+		entered <- done
+		<-release
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := <-entered
+	if done.Status != JobDone || len(done.Results) != len(dots) {
+		t.Fatalf("onDone got status %q with %d results, want done with %d", done.Status, len(done.Results), len(dots))
+	}
+	// onDone is blocked: every poll in this window must still say running.
+	for i := 0; i < 20; i++ {
+		if snap, _ := eng.Refine().Job(job.ID); snap.Status == JobDone {
+			close(release)
+			t.Fatal("job reads done while onDone is still running")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if final, err := eng.Refine().Wait(ctx, job.ID); err != nil || final.Status != JobDone {
+		t.Fatalf("after onDone returned: status %q, err %v", final.Status, err)
+	}
+}
+
 func TestGracefulDrain(t *testing.T) {
 	init, target := trainedFixture(t)
 	msgs := target.Chat.Log.Messages()

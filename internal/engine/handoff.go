@@ -28,7 +28,8 @@ var errNotSnapshottable = errors.New("engine: session backend does not support s
 // flushing it: intake stops immediately (further Ingest returns
 // ErrClosed), every envelope already queued drains in mailbox order, and
 // the detector's complete serialized state is returned for RestoreSession
-// on another node.
+// on another node, together with the detector-clock watermark it captures
+// (the position its producer resumes from).
 //
 // The state is also written to the local checkpoint store before being
 // returned, and that checkpoint is deliberately NOT deleted here: until
@@ -42,16 +43,16 @@ var errNotSnapshottable = errors.New("engine: session backend does not support s
 // closed to intake with its state still durable locally; the handoff
 // can be retried (the pending detach result is reused) or the process
 // restarted, in which case the channel resumes here from its checkpoint.
-func (m *SessionManager) DetachSession(ctx context.Context, channel string) ([]byte, error) {
+func (m *SessionManager) DetachSession(ctx context.Context, channel string) (state []byte, watermark float64, err error) {
 	s, ok := m.Get(channel)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, channel)
+		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownSession, channel)
 	}
 	s.mu.Lock()
 	if s.detachDone == nil {
 		if s.closed {
 			s.mu.Unlock()
-			return nil, ErrClosed
+			return nil, 0, ErrClosed
 		}
 		s.closed = true
 		s.detachDone = make(chan struct{})
@@ -63,13 +64,13 @@ func (m *SessionManager) DetachSession(ctx context.Context, channel string) ([]b
 	select {
 	case <-done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	s.mu.Lock()
-	state, derr := s.detachState, s.detachErr
+	state, watermark, err = s.detachState, s.detachWM, s.detachErr
 	s.mu.Unlock()
-	if derr != nil {
-		return nil, derr
+	if err != nil {
+		return nil, 0, err
 	}
 	// The mailbox is empty (closed session, detach was the final
 	// envelope), so the session can leave the manager. Like CloseSession,
@@ -79,7 +80,7 @@ func (m *SessionManager) DetachSession(ctx context.Context, channel string) ([]b
 	if lp := m.listener.Load(); lp != nil {
 		(*lp).SessionClosed(channel)
 	}
-	return state, nil
+	return state, watermark, nil
 }
 
 // BarOpen fences a channel against re-creation: until UnbarOpen (or a

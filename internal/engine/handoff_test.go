@@ -33,7 +33,7 @@ func TestDetachRestoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := engA.Sessions().DetachSession(ctx, "ch")
+	state, _, err := engA.Sessions().DetachSession(ctx, "ch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDetachDrainsQueuedWork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	state, err := engA.Sessions().DetachSession(ctx, "ch")
+	state, _, err := engA.Sessions().DetachSession(ctx, "ch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDetachErrors(t *testing.T) {
 	defer cancel()
 
 	eng := newTestEngine(t, init, Config{})
-	if _, err := eng.Sessions().DetachSession(ctx, "ghost"); err == nil {
+	if _, _, err := eng.Sessions().DetachSession(ctx, "ghost"); err == nil {
 		t.Fatal("detaching an unknown channel succeeded")
 	}
 
@@ -161,7 +161,7 @@ func TestDetachErrors(t *testing.T) {
 	if _, err := s.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Sessions().DetachSession(ctx, "flushing"); err != ErrClosed {
+	if _, _, err := eng.Sessions().DetachSession(ctx, "flushing"); err != ErrClosed {
 		t.Fatalf("detach of flushing session err = %v, want ErrClosed", err)
 	}
 
@@ -173,7 +173,7 @@ func TestDetachErrors(t *testing.T) {
 	if err := live.Ingest(msgs[:10]...); err != nil {
 		t.Fatal(err)
 	}
-	state, err := eng.Sessions().DetachSession(ctx, "live")
+	state, _, err := eng.Sessions().DetachSession(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,12 +128,18 @@ func (q *RefineQueue) run(j *refineJob, source core.InteractionSource, onDone fu
 
 	j.mu.Lock()
 	j.snap.Results = results
-	j.snap.Status = JobDone
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
+	// The job reads done only once onDone has returned: a poller that sees
+	// "done" and re-reads what onDone stores (the service's persisted
+	// boundaries) must find the new result, not the previous one.
+	snap.Status = JobDone
 	if onDone != nil {
 		onDone(snap)
 	}
+	j.mu.Lock()
+	j.snap.Status = JobDone
+	j.mu.Unlock()
 	// Release the admission slot before signalling completion so a waiter
 	// that saw the job finish can immediately enqueue another.
 	q.mu.Lock()

@@ -270,6 +270,7 @@ type Session struct {
 	// processed. Guarded by mu.
 	detachDone  chan struct{}
 	detachState []byte
+	detachWM    float64 // detector clock the detach state captures
 	detachErr   error
 
 	detMu   sync.Mutex // guards det across worker/flush handoffs
@@ -492,7 +493,7 @@ func (s *Session) process(env *envelope) {
 			state := snap.snapshotInto(nil)
 			_ = s.checkpointLocked()
 			s.mu.Lock()
-			s.detachState = state
+			s.detachState, s.detachWM = state, snap.now()
 			s.mu.Unlock()
 		} else {
 			s.mu.Lock()

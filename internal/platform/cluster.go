@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -116,7 +117,7 @@ const maxPooledForwardBuf = 1 << 20
 // batches — single-digit megabytes at the bench's batch sizes — so 16 MB
 // leaves an order of magnitude of headroom while keeping one hostile
 // POST to a non-owned channel from allocating unbounded memory on the
-// forwarding node. (Snapshot transfers never forward: /api/cluster/*
+// forwarding node. (Checkpoint envelopes never forward: /api/cluster/*
 // calls go peer-to-peer, not through route.)
 const maxForwardBody = 16 << 20
 
@@ -376,9 +377,10 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// HandoffResponse is the payload of POST /api/cluster/handoff and
-// /api/cluster/resume: where the channel now lives and the resume point
-// its producer should continue from.
+// HandoffResponse is the payload of POST /api/cluster/handoff, of the
+// replica endpoint, and of GET /api/cluster/owned?channel=: where the
+// channel now lives and the resume point its producer should continue
+// from.
 type HandoffResponse struct {
 	Channel   string  `json:"channel"`
 	Owner     string  `json:"owner"`
@@ -395,24 +397,24 @@ type HandoffResponse struct {
 //     session — so nothing can serve or resurrect the channel here
 //     while its state is in flight.
 //  2. DetachSession: intake stops, the mailbox drains, the detector
-//     serializes mid-stream; push subscribers get the terminal
-//     "end: closed" event and this node's response-cache entries for the
-//     channel are dropped (both via the SessionClosed listener, BEFORE
-//     the channel becomes routable anywhere else — no viewer can be
-//     served a stale catch-up frame across the handoff).
-//  3. The snapshot bytes POST to the target's /api/cluster/resume, which
-//     restores the session bit-identically (PR 3 machinery) and
-//     checkpoints it into the target's own store. The transfer runs on a
+//     serializes mid-stream and reports the watermark it captured; push
+//     subscribers get the terminal "end: closed" event and this node's
+//     response-cache entries for the channel are dropped (both via the
+//     SessionClosed listener, BEFORE the channel becomes routable
+//     anywhere else — no viewer can be served a stale catch-up frame
+//     across the handoff).
+//  3. The checkpoint envelope ships to the target's replica endpoint with
+//     promote=1 — the same envelope replication ships, so the target files
+//     it like any replica and then adopts it. The transfer runs on a
 //     context detached from the admin request: a caller hanging up after
-//     the target adopted the channel must not be able to turn a
-//     completed transfer into a local-restore split brain.
+//     the target adopted the channel must not be able to turn a completed
+//     transfer into a local-restore split brain. Promotion is idempotent
+//     (a channel already live on the target answers with its resume
+//     point), so a lost response is settled by clusterDo's retry.
 //  4. Only after the target confirms does this node commit the move
 //     (checkpoint forgotten, route pinned, fence lifted — atomically)
-//     and best-effort notify the remaining peers. A failed transfer is
-//     probed before it is believed: if the target actually holds the
-//     channel (the response was lost, not the transfer), the move
-//     commits; only a target provably without it restores the state
-//     locally. The channel never leaves limbo.
+//     and best-effort notify the remaining peers. A failed transfer
+//     restores the state locally; the channel never leaves limbo.
 func (s *Service) handleClusterHandoff(w http.ResponseWriter, r *http.Request) {
 	c := s.Cluster
 	channel := r.URL.Query().Get("channel")
@@ -442,7 +444,7 @@ func (s *Service) handleClusterHandoff(w http.ResponseWriter, r *http.Request) {
 	mgr := s.Engine.Sessions()
 	mgr.BarOpen(channel)
 
-	state, err := mgr.DetachSession(r.Context(), channel)
+	state, wm, err := mgr.DetachSession(r.Context(), channel)
 	if err != nil {
 		c.AbortMove(channel)
 		mgr.UnbarOpen(channel)
@@ -453,31 +455,23 @@ func (s *Service) handleClusterHandoff(w http.ResponseWriter, r *http.Request) {
 		s.writeLiveError(w, err)
 		return
 	}
+	mark := ReplicaMark{Watermark: wm}
+	if s.Replication != nil {
+		mark.Inc = s.Replication.incarnation(channel, 0)
+	}
 
 	// Detached from the admin request: once the state is off this node's
 	// engine, the transfer must run to a definite outcome even if the
 	// handoff caller disconnects. The pooled client's own timeout bounds
 	// each leg.
 	ctx := context.WithoutCancel(r.Context())
-	resumeURL := "http://" + addr + "/api/cluster/resume?channel=" + url.QueryEscape(channel)
-	resp, err := s.clusterDo(ctx, target, http.MethodPost, resumeURL, state)
-	if err != nil {
-		// Ambiguous failure: the target may have restored and pinned the
-		// channel before the error (a lost response, a broken connection
-		// after commit). Restoring locally on faith would put the channel
-		// live on BOTH nodes, each with a durable checkpoint — so ask the
-		// target whether it holds the channel before deciding.
-		if probed, perr := s.clusterDo(ctx, target, http.MethodGet,
-			"http://"+addr+"/api/cluster/owned?channel="+url.QueryEscape(channel), nil); perr == nil {
-			resp, err = probed, nil
-		}
-	}
+	resp, err := s.clusterDo(ctx, target, http.MethodPost, replicaURL(addr, channel, mark)+"&promote=1", state)
 	if err != nil {
 		// Undo: the channel comes back to life here; its checkpoint never
-		// left this node, so even a crash now loses nothing. RestoreSession
+		// left this node, so even a crash now loses nothing. Restoring
 		// lifts the open bar atomically with registration; the route fence
 		// lifts after, so no request can race the restore itself.
-		if _, rerr := mgr.RestoreSession(channel, state); rerr != nil {
+		if _, rerr := s.adopt(channel, mark.Inc, state); rerr != nil {
 			// Fence deliberately left up: the durable checkpoint is the
 			// only good copy, and letting traffic open a fresh empty
 			// session would shadow it. A restart resumes the channel from
@@ -510,8 +504,53 @@ func (s *Service) handleClusterHandoff(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 	}
-	resp.Owner = target
 	writeJSON(w, resp)
+}
+
+// adopt makes channel live on this node from a checkpoint envelope's
+// state — the one restore path behind handoff promotion, a failed
+// handoff's local undo, and replica failover. The session resumes
+// bit-identically and checkpoints into this node's store; the route is
+// pinned here so requests stay local even where the ring disagrees, and
+// the broadcast's incarnation (see Replicator.incarnation) is raised above
+// the envelope's so this node's replicas supersede the sender's.
+//
+// A channel already live here is not replaced: adoption is idempotent (a
+// retried promote whose first response was lost, or failover racing a
+// handoff), and the live session wins — it may have accepted messages the
+// envelope predates. That case returns the live session together with
+// engine.ErrSessionExists.
+func (s *Service) adopt(channel string, inc uint64, state []byte) (*engine.Session, error) {
+	if s.Replication != nil {
+		s.Replication.incarnation(channel, inc)
+	}
+	mgr := s.Engine.Sessions()
+	sess, err := mgr.RestoreSession(channel, state)
+	switch {
+	case errors.Is(err, engine.ErrSessionExists):
+		sess, _ = mgr.Get(channel)
+	case err == nil:
+		// Stale entries from a previous local life of this channel cannot
+		// be addressed (versions are process-unique), but drop them anyway
+		// so the adoption starts clean.
+		s.dotsCache.drop(channel)
+	}
+	if sess != nil {
+		_ = s.Cluster.SetOverride(channel, s.Cluster.Self())
+	}
+	return sess, err
+}
+
+// liveResponse reports a session resident on this node: its owner (this
+// node) and the resume point a producer continues from.
+func (s *Service) liveResponse(sess *engine.Session) HandoffResponse {
+	_, cursor, _ := sess.DotsPage(0)
+	return HandoffResponse{
+		Channel:   sess.Channel(),
+		Owner:     s.Cluster.Self(),
+		Watermark: sess.Watermark(),
+		Cursor:    cursor,
+	}
 }
 
 // errClusterTransport tags transport-level control-plane failures (no
@@ -526,8 +565,9 @@ var errClusterTransport = errors.New("cluster transport failure")
 // context.WithoutCancel — the deadline still applies, so a detached
 // transfer can never hang forever), transport-only retries with jittered
 // backoff, per-peer breaker. A received HTTP response — success or not —
-// is authoritative and never retried: control-plane verbs like resume
-// are not idempotent-by-status the way forwarded writes are.
+// is authoritative and never retried. Transport failures are retried, so
+// every verb sent through here must be idempotent: replica ships and
+// promotes are (monotone Put, idempotent adoption), as are route pins.
 func (s *Service) clusterDo(ctx context.Context, peer, method, url string, body []byte) (HandoffResponse, error) {
 	c := s.Cluster
 	br := c.Breaker(peer)
@@ -544,7 +584,8 @@ func (s *Service) clusterDo(ctx context.Context, peer, method, url string, body 
 				break
 			}
 		}
-		out, err := s.clusterDoOnce(ctx, method, url, body, br)
+		var out HandoffResponse
+		err := s.clusterDoOnce(ctx, method, url, body, br, &out)
 		if err == nil || !errors.Is(err, errClusterTransport) {
 			return out, err
 		}
@@ -554,13 +595,14 @@ func (s *Service) clusterDo(ctx context.Context, peer, method, url string, body 
 }
 
 // clusterDoOnce performs one control-plane call attempt under its own
-// deadline. Errors wrapping errClusterTransport are retryable; anything
-// else (including non-2xx statuses) is the peer's authoritative answer.
-func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []byte, br *cluster.Breaker) (HandoffResponse, error) {
+// deadline, decoding the JSON answer into out. Errors wrapping
+// errClusterTransport are retryable; anything else (including non-2xx
+// statuses) is the peer's authoritative answer.
+func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []byte, br *cluster.Breaker, out any) error {
 	if fault.Enabled() {
 		if ferr := fault.Hit(cluster.FailpointControl); ferr != nil {
 			br.Failure()
-			return HandoffResponse{}, fmt.Errorf("%w: %w", errClusterTransport, ferr)
+			return fmt.Errorf("%w: %w", errClusterTransport, ferr)
 		}
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.Cluster.Timeout())
@@ -571,7 +613,7 @@ func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return HandoffResponse{}, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if s.Cluster.Secret != "" {
@@ -580,110 +622,37 @@ func (s *Service) clusterDoOnce(ctx context.Context, method, url string, body []
 	resp, err := s.Cluster.Client().Do(req)
 	if err != nil {
 		br.Failure()
-		return HandoffResponse{}, fmt.Errorf("%w: %w", errClusterTransport, err)
+		return fmt.Errorf("%w: %w", errClusterTransport, err)
 	}
 	br.Success()
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return HandoffResponse{}, fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out HandoffResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return HandoffResponse{}, err
-	}
-	return out, nil
-}
-
-// maxResumeState caps an accepted snapshot transfer. Detector snapshots
-// are compact (histogram + windows + emission history); anything near
-// this limit is not one.
-const maxResumeState = 64 << 20
-
-// handleClusterResume adopts a channel: the body is the serialized
-// detector state (from a handoff, or read out of a dead node's data-dir
-// by an operator), restored with the same machinery as crash recovery and
-// checkpointed into THIS node's store. The route is pinned to this node
-// so subsequent requests stay local even where the ring disagrees.
-func (s *Service) handleClusterResume(w http.ResponseWriter, r *http.Request) {
-	channel := r.URL.Query().Get("channel")
-	if channel == "" {
-		http.Error(w, "missing channel parameter", http.StatusBadRequest)
-		return
-	}
-	state, err := io.ReadAll(io.LimitReader(r.Body, maxResumeState+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading state: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(state) > maxResumeState {
-		http.Error(w, "snapshot too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	sess, err := s.Engine.Sessions().RestoreSession(channel, state)
-	if errors.Is(err, engine.ErrSessionExists) {
-		// Idempotent adoption: the channel is already live here — an
-		// earlier resume whose response was lost, or the replica failover
-		// racing an operator-driven resume for the same dead node. The
-		// live session wins (it may have accepted messages the caller's
-		// snapshot predates); answer with ITS resume point, exactly as the
-		// original restore would have.
-		if live, ok := s.Engine.Sessions().Get(channel); ok {
-			_ = s.Cluster.SetOverride(channel, s.Cluster.Self())
-			_, cursor, _ := live.DotsPage(0)
-			writeJSON(w, HandoffResponse{
-				Channel:   channel,
-				Owner:     s.Cluster.Self(),
-				Watermark: live.Watermark(),
-				Cursor:    cursor,
-			})
-			return
-		}
-		// Closed between the restore attempt and the lookup; report the
-		// conflict rather than inventing a resume point.
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if err != nil {
-		s.writeLiveError(w, err)
-		return
-	}
-	// Stale entries from a previous local life of this channel cannot be
-	// addressed (versions are process-unique), but drop them anyway so
-	// the adoption starts clean.
-	s.dotsCache.drop(channel)
-	_ = s.Cluster.SetOverride(channel, s.Cluster.Self())
-	_, cursor, _ := sess.DotsPage(0)
-	writeJSON(w, HandoffResponse{
-		Channel:   channel,
-		Owner:     s.Cluster.Self(),
-		Watermark: sess.Watermark(),
-		Cursor:    cursor,
-	})
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // OwnedResponse is the payload of GET /api/cluster/owned without a
-// channel parameter: this node's live sessions and stored replica
-// watermarks, keyed by channel. The anti-entropy reconciler compares
-// Replicas against its own latest checkpoints to find successors that are
-// missing or behind.
+// channel parameter: this node's live sessions and stored replica marks,
+// keyed by channel. The anti-entropy reconciler compares Replicas against
+// its own latest checkpoints to find successors that are missing or
+// behind.
 type OwnedResponse struct {
 	Node string `json:"node"`
 	// Owned maps each live resident session to its watermark.
 	Owned map[string]float64 `json:"owned"`
-	// Replicas maps each channel in the local replica area to the
-	// watermark its envelope was stored under; omitted when replication
-	// is off.
-	Replicas map[string]float64 `json:"replicas,omitempty"`
+	// Replicas maps each channel in the local replica area to the mark
+	// its envelope was stored under; omitted when replication is off.
+	Replicas map[string]ReplicaMark `json:"replicas,omitempty"`
 }
 
 // handleClusterOwned reports, with a channel parameter, whether this node
 // currently holds a live session for that channel with its resume point —
-// the handoff's ambiguous-failure probe: a source whose transfer leg
-// errored asks the target this before restoring locally, so a lost
-// response cannot turn a completed transfer into a channel live on two
-// nodes at once. Without a channel parameter it is the anti-entropy
-// report: every live session's watermark plus every stored replica's.
+// failover's split-brain probe, and where a producer learns where to
+// continue after its channel failed over. Without a channel parameter it
+// is the anti-entropy report: every live session's watermark plus every
+// stored replica's mark.
 func (s *Service) handleClusterOwned(w http.ResponseWriter, r *http.Request) {
 	channel := r.URL.Query().Get("channel")
 	if channel == "" {
@@ -694,7 +663,7 @@ func (s *Service) handleClusterOwned(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if s.Replication != nil {
-			resp.Replicas = s.Replication.Store().Watermarks()
+			resp.Replicas = s.Replication.Store().Marks()
 		}
 		writeJSON(w, resp)
 		return
@@ -704,27 +673,31 @@ func (s *Service) handleClusterOwned(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("channel %q is not resident on this node", channel), http.StatusNotFound)
 		return
 	}
-	_, cursor, _ := sess.DotsPage(0)
-	writeJSON(w, HandoffResponse{
-		Channel:   channel,
-		Owner:     s.Cluster.Self(),
-		Watermark: sess.Watermark(),
-		Cursor:    cursor,
-	})
+	writeJSON(w, s.liveResponse(sess))
 }
 
-// handleClusterReplica is the receiver end of checkpoint replication:
-// POST stores a checkpoint envelope in this node's replica area, DELETE
-// tombstones it (the broadcast closed on the owner). Deliveries are
-// idempotent and monotone — the store drops anything at or below the
-// watermark it already holds — so the sender can retry or duplicate
-// freely and late reordered ships cannot roll a replica back.
+// handleClusterReplica is the one way a checkpoint envelope (channel,
+// incarnation, watermark, state) crosses nodes. POST files it in this
+// node's replica area, DELETE tombstones the incarnation (the broadcast
+// closed or moved on the owner). Deliveries are idempotent and monotone —
+// the store drops anything at or below the mark it already holds — so the
+// sender can retry or duplicate freely and late reordered ships cannot
+// roll a replica back.
+//
+// POST with promote=1 is a handoff's transfer leg: after filing, this
+// node adopts the state carried in the request. It must not adopt from
+// the store — Put drops an envelope whose mark equals the stored one (two
+// checkpoints share a detector clock when chat messages share a
+// timestamp), and drops everything behind a tombstone. A channel already
+// live here answers with the live session's resume point, so a retried
+// promote whose first response was lost commits the move.
 func (s *Service) handleClusterReplica(w http.ResponseWriter, r *http.Request) {
 	if s.Replication == nil {
 		http.Error(w, "replication is not enabled on this node", http.StatusServiceUnavailable)
 		return
 	}
-	channel := r.URL.Query().Get("channel")
+	q := r.URL.Query()
+	channel := q.Get("channel")
 	if channel == "" {
 		http.Error(w, "missing channel parameter", http.StatusBadRequest)
 		return
@@ -733,17 +706,23 @@ func (s *Service) handleClusterReplica(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ferr.Error(), http.StatusServiceUnavailable)
 		return
 	}
+	inc, err := strconv.ParseUint(q.Get("inc"), 10, 64)
+	if err != nil {
+		http.Error(w, "missing or malformed inc parameter", http.StatusBadRequest)
+		return
+	}
 	store := s.Replication.Store()
 	if r.Method == http.MethodDelete {
-		if err := store.Delete(channel); err != nil {
+		if err := store.Delete(channel, inc); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, HandoffResponse{Channel: channel, Owner: s.Cluster.Self()})
 		return
 	}
-	watermark, err := strconv.ParseFloat(r.URL.Query().Get("watermark"), 64)
-	if err != nil {
+	mark := ReplicaMark{Inc: inc}
+	mark.Watermark, err = strconv.ParseFloat(q.Get("watermark"), 64)
+	if err != nil || math.IsInf(mark.Watermark, 0) || math.IsNaN(mark.Watermark) {
 		http.Error(w, "missing or malformed watermark parameter", http.StatusBadRequest)
 		return
 	}
@@ -756,11 +735,26 @@ func (s *Service) handleClusterReplica(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("replica state exceeds %d bytes", maxReplicaState), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if _, err := store.Put(channel, watermark, state); err != nil {
+	if _, err := store.Put(channel, mark, state); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, HandoffResponse{Channel: channel, Owner: s.Cluster.Self(), Watermark: watermark})
+	if q.Get("promote") == "" {
+		writeJSON(w, HandoffResponse{Channel: channel, Owner: s.Cluster.Self(), Watermark: mark.Watermark})
+		return
+	}
+	sess, err := s.adopt(channel, inc, state)
+	if sess == nil {
+		if errors.Is(err, engine.ErrSessionExists) {
+			// Closed between the restore attempt and the lookup; report
+			// the conflict rather than inventing a resume point.
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		s.writeLiveError(w, err)
+		return
+	}
+	writeJSON(w, s.liveResponse(sess))
 }
 
 // handleClusterRoute pins (or clears, with owner="") a channel's owner on
@@ -824,10 +818,9 @@ func (s *Service) retireOverride(r *http.Request, channel string) {
 
 // handleClusterDown marks a peer down (down=true) or back up (down=false)
 // on this node's routing overlay: keys owned by a down node remap to
-// their ring successors, and only those keys. Marking a node down does
-// not move state — resume its channels from their checkpoints on the new
-// owners (POST /api/cluster/resume) before producers continue, or the
-// channels restart fresh there.
+// their ring successors, and only those keys. The up→down transition
+// fires replica failover (Replicator.PeerDown): the new owners adopt the
+// dead node's channels from their local replica areas.
 func (s *Service) handleClusterDown(w http.ResponseWriter, r *http.Request) {
 	node := r.URL.Query().Get("node")
 	if node == "" {

@@ -32,6 +32,7 @@ type clusterNode struct {
 	eng   *engine.Engine
 	store *Store
 	srv   *httptest.Server
+	rep   *Replicator // durable nodes only; loops not started
 }
 
 // testClusterSecret is the shared secret every test cluster runs with,
@@ -40,7 +41,9 @@ type clusterNode struct {
 const testClusterSecret = "test-cluster-secret"
 
 // startCluster stands up n cluster nodes. dirs[i] != "" gives node i a
-// durable file backend (and checkpointing engine); "" keeps it in-memory.
+// durable file backend, a checkpointing engine, and a replica area with
+// its Replicator wired but not started — as in production, where the
+// replica endpoint (and so handoff) needs one; "" keeps it in-memory.
 func startCluster(t *testing.T, init *core.Initializer, n int, dirs []string) []*clusterNode {
 	return startClusterWrapped(t, init, n, dirs, nil)
 }
@@ -90,6 +93,13 @@ func startClusterWrapped(t *testing.T, init *core.Initializer, n int, dirs []str
 			t.Fatal(err)
 		}
 		cn.svc = &Service{Store: cn.store, Engine: cn.eng, Cluster: cn.node}
+		if dirs != nil && dirs[i] != "" {
+			rs, err := OpenReplicaStore(filepath.Join(dirs[i], "replicas"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cn.rep = NewReplicator(cn.svc, rs, 1, 50*time.Millisecond)
+		}
 		handler := http.Handler(cn.svc.Handler())
 		if wrap != nil {
 			if wrapped := wrap(i, handler); wrapped != nil {
@@ -104,6 +114,9 @@ func startClusterWrapped(t *testing.T, init *core.Initializer, n int, dirs []str
 		defer cancel()
 		for _, cn := range nodes {
 			cn.srv.Close()
+			if cn.rep != nil {
+				cn.rep.Stop()
+			}
 			_ = cn.eng.Close(ctx)
 			_ = cn.store.Close()
 		}
@@ -694,7 +707,7 @@ func TestClusterHandoffFencesTrafficMidMove(t *testing.T) {
 	var stall atomic.Bool
 	wrap := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if stall.Load() && r.URL.Path == "/api/cluster/resume" {
+			if stall.Load() && isPromote(r) {
 				stalling <- struct{}{}
 				<-release
 			}
@@ -774,7 +787,7 @@ func TestClusterHandoffTransferFailureRestoresLocally(t *testing.T) {
 	resp.Body.Close()
 	waitForDots(t, owner, channel)
 
-	other.srv.Close() // the target is unreachable; probe and transfer both fail
+	other.srv.Close() // the target is unreachable; every transfer attempt fails
 	hresp := clusterControlPost(t, owner.srv.URL+"/api/cluster/handoff?channel="+channel+"&target="+other.id)
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusBadGateway {
@@ -797,11 +810,17 @@ func TestClusterHandoffTransferFailureRestoresLocally(t *testing.T) {
 	}
 }
 
+// isPromote matches a handoff's transfer leg: the promoting POST to the
+// target's replica endpoint.
+func isPromote(r *http.Request) bool {
+	return r.URL.Path == "/api/cluster/replica" && r.URL.Query().Get("promote") != ""
+}
+
 // TestClusterHandoffLostResponseCommits is the split-brain regression:
 // when the target restores the channel but the transfer RESPONSE is
 // lost, restoring locally on faith would leave the channel live on both
-// nodes with two durable checkpoints. The source must probe the target
-// and, finding the channel resident, commit the move instead.
+// nodes with two durable checkpoints. The source retries the idempotent
+// promote, which finds the channel resident and commits the move.
 func TestClusterHandoffLostResponseCommits(t *testing.T) {
 	init, target := trainedInitializer(t)
 	msgs := target.Chat.Log.Messages()
@@ -810,13 +829,13 @@ func TestClusterHandoffLostResponseCommits(t *testing.T) {
 	var lose atomic.Bool
 	wrap := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if lose.Load() && r.URL.Path == "/api/cluster/resume" {
+			if lose.Load() && isPromote(r) {
 				lose.Store(false)
 				// The restore happens for real; only the response is lost.
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, r)
 				if rec.Code != http.StatusOK {
-					panic(fmt.Sprintf("stalled resume failed: %d %s", rec.Code, rec.Body.String()))
+					panic(fmt.Sprintf("lost-response promote failed: %d %s", rec.Code, rec.Body.String()))
 				}
 				hj, ok := w.(http.Hijacker)
 				if !ok {
@@ -920,6 +939,9 @@ func TestClusterCloseRetiresOverride(t *testing.T) {
 			t.Fatalf("after handoff, %s pins %q to %q (pinned=%v), want %q", cn.id, channel, o, pinned, other.id)
 		}
 	}
+	if _, _, ok := other.rep.Store().Get(channel); !ok {
+		t.Fatal("the promote did not file the envelope in the target's replica area")
+	}
 
 	// Close through the source (forwarded to the pinned owner).
 	creq, err := http.NewRequest(http.MethodDelete, owner.srv.URL+"/api/live/session?channel="+channel, nil)
@@ -938,6 +960,11 @@ func TestClusterCloseRetiresOverride(t *testing.T) {
 		if o, pinned := cn.node.Override(channel); pinned {
 			t.Errorf("after close, %s still pins %q to %q", cn.id, channel, o)
 		}
+	}
+	// The envelope the promote filed in the target's own replica area
+	// dies with the broadcast, so no later failover can resurrect it.
+	if _, _, ok := other.rep.Store().Get(channel); ok {
+		t.Error("after close, the old handoff target still holds a replica of the broadcast")
 	}
 
 	// A successor broadcast with the same channel id opens on the ring

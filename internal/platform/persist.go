@@ -133,26 +133,3 @@ func readSnapshot(r io.Reader) (storeSnapshot, error) {
 	}
 	return snap, nil
 }
-
-// Save writes the full store state as a checksummed envelope around a JSON
-// payload. Each video is copied under its own lock, so a snapshot is
-// per-video (not cross-video) consistent — the same guarantee serving
-// reads get.
-func (s *Store) Save(w io.Writer) error {
-	return writeSnapshot(w, snapshotBackend(s.b))
-}
-
-// LoadStore reads a snapshot written by Save into a fresh in-memory Store,
-// validating the envelope's version, length, and CRC32 first: corrupt or
-// truncated snapshots are rejected whole rather than half-loaded.
-func LoadStore(r io.Reader) (*Store, error) {
-	snap, err := readSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore()
-	if err := applySnapshot(snap, s.b); err != nil {
-		return nil, err
-	}
-	return s, nil
-}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,22 @@ import (
 	"lightor/internal/core"
 	"lightor/internal/play"
 )
+
+// saveStore and loadStore round-trip a store through the checksummed
+// snapshot envelope FileBackend compaction writes and recovery reads.
+func saveStore(s *Store, w io.Writer) error { return writeSnapshot(w, snapshotBackend(s.Backend())) }
+
+func loadStore(r io.Reader) (*Store, error) {
+	snap, err := readSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStore()
+	if err := applySnapshot(snap, s.Backend()); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	s := NewStore()
@@ -35,10 +52,10 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := saveStore(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadStore(&buf)
+	loaded, err := loadStore(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +79,14 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadStoreRejectsGarbage(t *testing.T) {
-	if _, err := LoadStore(strings.NewReader("nope")); err == nil {
+func TestReadSnapshotRejectsGarbage(t *testing.T) {
+	if _, err := loadStore(strings.NewReader("nope")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadStore(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, err := loadStore(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("bare v1-style JSON accepted")
 	}
-	if _, err := LoadStore(strings.NewReader(
+	if _, err := loadStore(strings.NewReader(
 		`{"format":"lightor-store","version":99,"length":2,"crc32":0}` + "\n{}")); err == nil {
 		t.Error("future version accepted")
 	}
@@ -94,35 +111,35 @@ func savedStore(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := saveStore(s, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestLoadStoreRejectsTruncation: every truncated prefix of a valid
+// TestReadSnapshotRejectsTruncation: every truncated prefix of a valid
 // snapshot must fail — the envelope's declared length catches cuts the
 // JSON decoder would otherwise accept as a shorter valid document.
-func TestLoadStoreRejectsTruncation(t *testing.T) {
+func TestReadSnapshotRejectsTruncation(t *testing.T) {
 	full := savedStore(t)
-	if _, err := LoadStore(bytes.NewReader(full)); err != nil {
+	if _, err := loadStore(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 	for cut := 0; cut < len(full); cut += 11 {
-		if _, err := LoadStore(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := loadStore(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
 }
 
-// TestLoadStoreRejectsCorruption: a flipped bit anywhere in the payload
+// TestReadSnapshotRejectsCorruption: a flipped bit anywhere in the payload
 // must trip the envelope CRC.
-func TestLoadStoreRejectsCorruption(t *testing.T) {
+func TestReadSnapshotRejectsCorruption(t *testing.T) {
 	full := savedStore(t)
 	for pos := bytes.IndexByte(full, '\n') + 1; pos < len(full); pos += 19 {
 		bad := append([]byte(nil), full...)
 		bad[pos] ^= 0x20
-		if _, err := LoadStore(bytes.NewReader(bad)); err == nil {
+		if _, err := loadStore(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("corruption at byte %d accepted", pos)
 		}
 	}
@@ -131,7 +148,7 @@ func TestLoadStoreRejectsCorruption(t *testing.T) {
 // TestSaveLoadKeepsCheckpoints: session checkpoints ride the snapshot so a
 // restore can resume live broadcasts.
 func TestSaveLoadKeepsCheckpoints(t *testing.T) {
-	loaded, err := LoadStore(bytes.NewReader(savedStore(t)))
+	loaded, err := loadStore(bytes.NewReader(savedStore(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

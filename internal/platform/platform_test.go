@@ -245,14 +245,14 @@ func TestServiceEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	// Health check.
-	resp, err := http.Get(srv.URL + "/healthz")
+	// Liveness probe.
+	resp, err := http.Get(srv.URL + "/api/ping")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("healthz = %d", resp.StatusCode)
+		t.Fatalf("ping = %d", resp.StatusCode)
 	}
 
 	// Fetch highlights.

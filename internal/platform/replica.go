@@ -28,32 +28,52 @@ import (
 // their own file format.
 
 // replicaFormat is the wal envelope format name for replica files. The
-// payload is 8 bytes of big-endian float64 watermark followed by the
-// checkpoint state exactly as the owner's store accepted it.
+// payload is the 16-byte big-endian mark (float64 watermark, uint64
+// incarnation) followed by the checkpoint state exactly as the owner's
+// store accepted it.
 const (
 	replicaFormat  = "lightor-replica"
-	replicaVersion = 1
+	replicaVersion = 2
 	replicaExt     = ".rep"
 )
 
-// maxReplicaState mirrors maxResumeState: a replica envelope carries the
-// same detector snapshot a resume does.
-const maxReplicaState = maxResumeState
+// maxReplicaState caps an accepted checkpoint envelope. Detector snapshots
+// are compact (histogram + windows + emission history); anything near this
+// limit is not one.
+const maxReplicaState = 64 << 20
+
+// ReplicaMark orders one channel's checkpoint envelopes: by broadcast
+// incarnation first, then by detector-clock watermark within it. The
+// owner assigns the incarnation when the broadcast first checkpoints on
+// it (see Replicator.incarnation), so a channel id reused by a new
+// broadcast — or adopted by a new owner — ships under a larger one.
+type ReplicaMark struct {
+	Inc       uint64  `json:"inc"`
+	Watermark float64 `json:"watermark"`
+}
+
+// before reports whether m sorts strictly before o.
+func (m ReplicaMark) before(o ReplicaMark) bool {
+	return m.Inc < o.Inc || (m.Inc == o.Inc && m.Watermark < o.Watermark)
+}
+
+// tombstone reports whether m is a Delete's fence rather than a stored
+// envelope: watermark +Inf, above every delivery of its incarnation.
+func (m ReplicaMark) tombstone() bool { return math.IsInf(m.Watermark, 1) }
 
 // ReplicaStore is the durable per-channel replica area. All operations are
-// safe for concurrent use. Watermarks are monotone per channel: a delivery
-// at or below the stored watermark is dropped (idempotent, duplicate- and
+// safe for concurrent use. Marks are monotone per channel: a delivery at
+// or below the stored mark is dropped (idempotent, duplicate- and
 // reorder-proof), and a deleted channel leaves an in-memory tombstone so a
-// late in-flight delivery cannot resurrect a closed broadcast within this
-// process's lifetime.
+// late in-flight delivery of the closed broadcast cannot resurrect it
+// within this process's lifetime. The tombstone fences only that
+// broadcast's incarnation: a new broadcast reusing the channel id
+// replicates normally.
 type ReplicaStore struct {
 	dir string
 
-	mu sync.Mutex
-	// wm is the stored watermark per channel; +Inf marks a tombstone
-	// (deleted this process lifetime — nothing at or below +Inf applies,
-	// which is everything).
-	wm map[string]float64
+	mu    sync.Mutex
+	marks map[string]ReplicaMark // stored mark per channel, or a tombstone
 }
 
 // OpenReplicaStore opens (creating if needed) the replica area at dir and
@@ -65,7 +85,7 @@ func OpenReplicaStore(dir string) (*ReplicaStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("platform: creating replica dir: %w", err)
 	}
-	rs := &ReplicaStore{dir: dir, wm: make(map[string]float64)}
+	rs := &ReplicaStore{dir: dir, marks: make(map[string]ReplicaMark)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("platform: reading replica dir: %w", err)
@@ -81,12 +101,12 @@ func OpenReplicaStore(dir string) (*ReplicaStore, error) {
 			errs = append(errs, fmt.Errorf("platform: replica file %q: %w", name, derr))
 			continue
 		}
-		wm, _, rerr := readReplicaFile(filepath.Join(dir, name))
+		mark, _, rerr := readReplicaFile(filepath.Join(dir, name))
 		if rerr != nil {
 			errs = append(errs, fmt.Errorf("platform: replica %q: %w", channel, rerr))
 			continue
 		}
-		rs.wm[channel] = wm
+		rs.marks[channel] = mark
 	}
 	return rs, errors.Join(errs...)
 }
@@ -109,24 +129,25 @@ func decodeReplicaName(name string) (string, error) {
 	return string(raw), nil
 }
 
-// Put stores a replica delivery if it advances the channel's watermark,
-// reporting whether it was applied. Stale or duplicate deliveries
-// (watermark at or below the stored one, including the +Inf tombstone a
-// Delete leaves) return (false, nil) — dropped, not an error. The write is
-// atomic: temp file, fsync, rename, so a crash mid-write leaves the
-// previous envelope intact.
-func (rs *ReplicaStore) Put(channel string, watermark float64, state []byte) (bool, error) {
+// Put stores a replica delivery if it advances the channel's mark,
+// reporting whether it was applied. Stale or duplicate deliveries (at or
+// below the stored mark, including the tombstone a Delete of the same
+// incarnation leaves) return (false, nil) — dropped, not an error. The
+// write is atomic: temp file, fsync, rename, so a crash mid-write leaves
+// the previous envelope intact.
+func (rs *ReplicaStore) Put(channel string, mark ReplicaMark, state []byte) (bool, error) {
 	if len(state) > maxReplicaState {
 		return false, fmt.Errorf("platform: replica state for %q exceeds %d bytes", channel, maxReplicaState)
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if stored, ok := rs.wm[channel]; ok && watermark <= stored {
+	if stored, ok := rs.marks[channel]; ok && !stored.before(mark) {
 		return false, nil
 	}
-	payload := make([]byte, 8+len(state))
-	binary.BigEndian.PutUint64(payload, math.Float64bits(watermark))
-	copy(payload[8:], state)
+	payload := make([]byte, 16+len(state))
+	binary.BigEndian.PutUint64(payload, math.Float64bits(mark.Watermark))
+	binary.BigEndian.PutUint64(payload[8:], mark.Inc)
+	copy(payload[16:], state)
 
 	path := rs.path(channel)
 	tmp := path + ".tmp"
@@ -142,7 +163,7 @@ func (rs *ReplicaStore) Put(channel string, watermark float64, state []byte) (bo
 		d.Sync()
 		d.Close()
 	}
-	rs.wm[channel] = watermark
+	rs.marks[channel] = mark
 	return true, nil
 }
 
@@ -162,66 +183,73 @@ func writeReplicaFile(path string, payload []byte) error {
 	return f.Close()
 }
 
-func readReplicaFile(path string) (wm float64, state []byte, err error) {
+func readReplicaFile(path string) (mark ReplicaMark, state []byte, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, nil, err
+		return mark, nil, err
 	}
 	defer f.Close()
 	_, payload, err := wal.ReadEnvelope(f, replicaFormat, replicaVersion)
 	if err != nil {
-		return 0, nil, err
+		return mark, nil, err
 	}
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("%w: replica payload shorter than its watermark", wal.ErrCorrupt)
+	if len(payload) < 16 {
+		return mark, nil, fmt.Errorf("%w: replica payload shorter than its mark", wal.ErrCorrupt)
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(payload)), payload[8:], nil
+	mark.Watermark = math.Float64frombits(binary.BigEndian.Uint64(payload))
+	mark.Inc = binary.BigEndian.Uint64(payload[8:])
+	return mark, payload[16:], nil
 }
 
 // Get reads a channel's replica envelope back: the checkpoint state and
-// the watermark it was stored under. ok is false for unknown or
-// tombstoned channels, and for a file that fails validation on read.
-func (rs *ReplicaStore) Get(channel string) (state []byte, watermark float64, ok bool) {
+// the mark it was stored under. ok is false for unknown or tombstoned
+// channels, and for a file that fails validation on read.
+func (rs *ReplicaStore) Get(channel string) (state []byte, mark ReplicaMark, ok bool) {
 	rs.mu.Lock()
-	wm, known := rs.wm[channel]
+	stored, known := rs.marks[channel]
 	rs.mu.Unlock()
-	if !known || math.IsInf(wm, 1) {
-		return nil, 0, false
+	if !known || stored.tombstone() {
+		return nil, mark, false
 	}
-	fwm, state, err := readReplicaFile(rs.path(channel))
+	mark, state, err := readReplicaFile(rs.path(channel))
 	if err != nil {
-		return nil, 0, false
+		return nil, mark, false
 	}
-	return state, fwm, true
+	return state, mark, true
 }
 
-// Delete removes a channel's replica and tombstones it: the broadcast
-// ended (or the replica moved elsewhere), and a late in-flight delivery
-// must not resurrect it. The tombstone is in-memory only — after a
-// restart the owner no longer lists the channel, so anti-entropy never
-// re-ships it.
-func (rs *ReplicaStore) Delete(channel string) error {
+// Delete removes a channel's replica of broadcast incarnation inc (and any
+// older one) and tombstones that incarnation: the broadcast ended (or its
+// owner handed it off), and a late in-flight delivery of it must not
+// resurrect it. A stored envelope of a newer incarnation is left alone —
+// it belongs to a broadcast the delete does not speak for. The tombstone
+// is in-memory only — after a restart the owner no longer lists the
+// channel, so anti-entropy never re-ships it.
+func (rs *ReplicaStore) Delete(channel string, inc uint64) error {
+	tomb := ReplicaMark{Inc: inc, Watermark: math.Inf(1)}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	if stored, ok := rs.marks[channel]; ok && !stored.before(tomb) {
+		return nil
+	}
 	err := os.Remove(rs.path(channel))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	rs.wm[channel] = math.Inf(1)
+	rs.marks[channel] = tomb
 	return nil
 }
 
-// Watermarks returns the stored watermark per live (non-tombstoned)
-// channel — the receiver's half of the anti-entropy comparison.
-func (rs *ReplicaStore) Watermarks() map[string]float64 {
+// Marks returns the stored mark per live (non-tombstoned) channel — the
+// receiver's half of the anti-entropy comparison.
+func (rs *ReplicaStore) Marks() map[string]ReplicaMark {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make(map[string]float64, len(rs.wm))
-	for ch, wm := range rs.wm {
-		if math.IsInf(wm, 1) {
-			continue
+	out := make(map[string]ReplicaMark, len(rs.marks))
+	for ch, m := range rs.marks {
+		if !m.tombstone() {
+			out[ch] = m
 		}
-		out[ch] = wm
 	}
 	return out
 }
@@ -230,12 +258,11 @@ func (rs *ReplicaStore) Watermarks() map[string]float64 {
 func (rs *ReplicaStore) Channels() []string {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]string, 0, len(rs.wm))
-	for ch, wm := range rs.wm {
-		if math.IsInf(wm, 1) {
-			continue
+	out := make([]string, 0, len(rs.marks))
+	for ch, m := range rs.marks {
+		if !m.tombstone() {
+			out = append(out, ch)
 		}
-		out = append(out, ch)
 	}
 	sort.Strings(out)
 	return out

@@ -16,44 +16,26 @@ import (
 	"lightor/internal/fault"
 )
 
-// replicatedNode pairs a cluster fixture node with its replicator.
-type replicatedNode struct {
-	*clusterNode
-	rep *Replicator
-}
-
 // startReplicatedCluster is startCluster with checkpointing file backends
-// on every node plus a wired, started Replicator per node (factor
-// `replicas`, fast anti-entropy cadence). The replica areas live in their
-// own temp dirs, separate from the data dirs, as in production.
-func startReplicatedCluster(t *testing.T, init *core.Initializer, n, replicas int) []*replicatedNode {
+// on every node and each node's Replicator started (factor `replicas`,
+// fast anti-entropy cadence).
+func startReplicatedCluster(t *testing.T, init *core.Initializer, n, replicas int) []*clusterNode {
 	t.Helper()
 	dirs := make([]string, n)
 	for i := range dirs {
 		dirs[i] = t.TempDir()
 	}
 	nodes := startCluster(t, init, n, dirs)
-	out := make([]*replicatedNode, n)
-	for i, cn := range nodes {
-		rs, err := OpenReplicaStore(filepath.Join(t.TempDir(), "replicas"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := NewReplicator(cn.svc, rs, replicas, 50*time.Millisecond)
-		rep.Start()
-		out[i] = &replicatedNode{clusterNode: cn, rep: rep}
+	for _, cn := range nodes {
+		cn.rep.replicas = replicas
+		cn.rep.Start()
 	}
-	t.Cleanup(func() {
-		for _, rn := range out {
-			rn.rep.Stop()
-		}
-	})
-	return out
+	return nodes
 }
 
 // successorOf returns the node the owner's replicator ships the channel's
 // checkpoints to: the first ring successor skipping the owner itself.
-func successorOf(t *testing.T, nodes []*replicatedNode, owner *replicatedNode, channel string) *replicatedNode {
+func successorOf(t *testing.T, nodes []*clusterNode, owner *clusterNode, channel string) *clusterNode {
 	t.Helper()
 	id := owner.node.Ring().OwnerSkipping(channel, func(peer string) bool { return peer == owner.id })
 	for _, rn := range nodes {
@@ -73,25 +55,26 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 	}
 	// Channel names with filesystem-hostile characters must round-trip.
 	const ch = "room/π:42"
-	if applied, err := rs.Put(ch, 5, []byte("v5")); err != nil || !applied {
+	at := func(wm float64) ReplicaMark { return ReplicaMark{Inc: 1, Watermark: wm} }
+	if applied, err := rs.Put(ch, at(5), []byte("v5")); err != nil || !applied {
 		t.Fatalf("first Put = (%v, %v), want applied", applied, err)
 	}
 	// Duplicates and stale deliveries are dropped, not errors.
-	if applied, err := rs.Put(ch, 5, []byte("dup")); err != nil || applied {
+	if applied, err := rs.Put(ch, at(5), []byte("dup")); err != nil || applied {
 		t.Fatalf("duplicate Put = (%v, %v), want dropped", applied, err)
 	}
-	if applied, err := rs.Put(ch, 4, []byte("stale")); err != nil || applied {
+	if applied, err := rs.Put(ch, at(4), []byte("stale")); err != nil || applied {
 		t.Fatalf("stale Put = (%v, %v), want dropped", applied, err)
 	}
-	if applied, err := rs.Put(ch, 6, []byte("v6")); err != nil || !applied {
+	if applied, err := rs.Put(ch, at(6), []byte("v6")); err != nil || !applied {
 		t.Fatalf("advancing Put = (%v, %v), want applied", applied, err)
 	}
-	state, wm, ok := rs.Get(ch)
-	if !ok || wm != 6 || string(state) != "v6" {
-		t.Fatalf("Get = (%q, %v, %v), want (v6, 6, true)", state, wm, ok)
+	state, mark, ok := rs.Get(ch)
+	if !ok || mark != at(6) || string(state) != "v6" {
+		t.Fatalf("Get = (%q, %v, %v), want (v6, 6, true)", state, mark, ok)
 	}
-	if wms := rs.Watermarks(); len(wms) != 1 || wms[ch] != 6 {
-		t.Fatalf("Watermarks = %v", wms)
+	if marks := rs.Marks(); len(marks) != 1 || marks[ch] != at(6) {
+		t.Fatalf("Marks = %v", marks)
 	}
 
 	// Reopen re-indexes from disk.
@@ -99,27 +82,41 @@ func TestReplicaStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state, wm, ok := rs2.Get(ch); !ok || wm != 6 || string(state) != "v6" {
-		t.Fatalf("reopened Get = (%q, %v, %v)", state, wm, ok)
+	if state, mark, ok := rs2.Get(ch); !ok || mark != at(6) || string(state) != "v6" {
+		t.Fatalf("reopened Get = (%q, %v, %v)", state, mark, ok)
 	}
 
 	// Delete tombstones: the file is gone AND a late redelivery cannot
 	// resurrect the channel within this process lifetime.
-	if err := rs2.Delete(ch); err != nil {
+	if err := rs2.Delete(ch, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := rs2.Get(ch); ok {
 		t.Fatal("Get succeeded after Delete")
 	}
-	if applied, err := rs2.Put(ch, 1e9, []byte("late")); err != nil || applied {
+	if applied, err := rs2.Put(ch, at(1e9), []byte("late")); err != nil || applied {
 		t.Fatalf("post-delete Put = (%v, %v), want dropped by tombstone", applied, err)
 	}
 	if chs := rs2.Channels(); len(chs) != 0 {
 		t.Fatalf("Channels after delete = %v", chs)
 	}
 	// Double delete is fine.
-	if err := rs2.Delete(ch); err != nil {
+	if err := rs2.Delete(ch, 1); err != nil {
 		t.Fatal(err)
+	}
+
+	// The tombstone fences only the incarnation it closed: a new
+	// broadcast reusing the id replicates, even from a lower watermark,
+	// and a stale delete of the old incarnation cannot touch it.
+	next := ReplicaMark{Inc: 2, Watermark: 1}
+	if applied, err := rs2.Put(ch, next, []byte("reopened")); err != nil || !applied {
+		t.Fatalf("new-incarnation Put = (%v, %v), want applied", applied, err)
+	}
+	if err := rs2.Delete(ch, 1); err != nil {
+		t.Fatal(err)
+	}
+	if state, mark, ok := rs2.Get(ch); !ok || mark != next || string(state) != "reopened" {
+		t.Fatalf("after stale delete, Get = (%q, %v, %v), want the new incarnation", state, mark, ok)
 	}
 }
 
@@ -129,7 +126,7 @@ func TestReplicaStoreCorruptSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Put("good", 3, []byte("keep")); err != nil {
+	if _, err := rs.Put("good", ReplicaMark{Inc: 1, Watermark: 3}, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 	// A torn envelope and an undecodable name next to the healthy replica.
@@ -147,8 +144,8 @@ func TestReplicaStoreCorruptSkip(t *testing.T) {
 	if rs2 == nil {
 		t.Fatal("corrupt neighbors took down the whole store")
 	}
-	if state, wm, ok := rs2.Get("good"); !ok || wm != 3 || string(state) != "keep" {
-		t.Fatalf("healthy replica lost next to corrupt ones: (%q, %v, %v)", state, wm, ok)
+	if state, mark, ok := rs2.Get("good"); !ok || mark.Watermark != 3 || string(state) != "keep" {
+		t.Fatalf("healthy replica lost next to corrupt ones: (%q, %v, %v)", state, mark, ok)
 	}
 	if chs := rs2.Channels(); len(chs) != 1 || chs[0] != "good" {
 		t.Fatalf("Channels = %v, want [good]", chs)
@@ -186,7 +183,7 @@ func TestClusterReplicaEndpointGating(t *testing.T) {
 	init, _ := trainedInitializer(t)
 	nodes := startCluster(t, init, 2, nil) // no replicators wired
 
-	url := nodes[0].srv.URL + "/api/cluster/replica?channel=ch&watermark=1"
+	url := nodes[0].srv.URL + "/api/cluster/replica?channel=ch&inc=1&watermark=1"
 	// No secret: rejected before any replication logic runs.
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader([]byte("s")))
 	if err != nil {
@@ -233,10 +230,10 @@ func TestClusterReplicationShipsCheckpoints(t *testing.T) {
 	}
 
 	// The successor's replica converges to the owner's stored bytes.
-	var wm float64
+	var mark ReplicaMark
 	waitFor(t, 10*time.Second, "replica to match owner checkpoint", func() bool {
-		state, w, ok := succ.rep.Store().Get(channel)
-		wm = w
+		state, m, ok := succ.rep.Store().Get(channel)
+		mark = m
 		return ok && bytes.Equal(state, want)
 	})
 	// Nothing leaked to the third node (factor 1 → exactly one standby).
@@ -255,8 +252,8 @@ func TestClusterReplicationShipsCheckpoints(t *testing.T) {
 		t.Fatalf("owner owned report lacks %q: %+v", channel, ownedOwner)
 	}
 	ownedSucc := fetchOwnedReport(t, succ.srv.URL)
-	if got := ownedSucc.Replicas[channel]; got != wm {
-		t.Fatalf("successor replica report = %v, want %v", got, wm)
+	if got := ownedSucc.Replicas[channel]; got != mark {
+		t.Fatalf("successor replica report = %v, want %v", got, mark)
 	}
 
 	// Closing the broadcast deletes the replica everywhere.
@@ -276,6 +273,129 @@ func TestClusterReplicationShipsCheckpoints(t *testing.T) {
 		_, _, ok := succ.rep.Store().Get(channel)
 		return !ok
 	})
+}
+
+// TestClusterReplicationReopenedChannel is the tombstone regression: the
+// delete that closes a broadcast fences only that broadcast, so a new
+// broadcast reusing the channel id replicates to the same standby — it is
+// not silently dropped behind a process-lifetime tombstone.
+func TestClusterReplicationReopenedChannel(t *testing.T) {
+	init, target := trainedInitializer(t)
+	msgs := target.Chat.Log.Messages()
+	const channel = "rep-reopen"
+
+	nodes := startReplicatedCluster(t, init, 3, 1)
+	owner := ownerNode(t, nodes, channel)
+	succ := successorOf(t, nodes, owner, channel)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	broadcast := func(batch any) []byte {
+		t.Helper()
+		ingest(t, owner.srv.URL, channel, batch)
+		sess, ok := owner.eng.Sessions().Get(channel)
+		if !ok {
+			t.Fatal("session missing on owner")
+		}
+		if err := sess.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := owner.store.Checkpoints()[channel]
+		waitFor(t, 10*time.Second, "replica to match owner checkpoint", func() bool {
+			state, _, ok := succ.rep.Store().Get(channel)
+			return ok && bytes.Equal(state, want)
+		})
+		return want
+	}
+
+	first := broadcast(msgs[:len(msgs)/2])
+	req, err := http.NewRequest(http.MethodDelete, owner.srv.URL+"/api/live/session?channel="+channel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("close = %d, want 200", resp.StatusCode)
+	}
+	waitFor(t, 10*time.Second, "replica deletion to propagate", func() bool {
+		_, _, ok := succ.rep.Store().Get(channel)
+		return !ok
+	})
+
+	// Same channel id, new broadcast, shorter stream (a lower watermark
+	// than the closed one reached).
+	second := broadcast(msgs[:len(msgs)/4])
+	if bytes.Equal(first, second) {
+		t.Fatal("reopened broadcast checkpointed the closed one's state; test is vacuous")
+	}
+}
+
+// TestClusterHandoffReplicaSupersedesSource: a handed-off channel's new
+// owner ships under a larger incarnation than the source did, so on a
+// standby both replicate to, the source's closing DELETE (its checkpoint
+// is forgotten once the move commits) cannot remove the new owner's
+// envelope, in either arrival order.
+func TestClusterHandoffReplicaSupersedesSource(t *testing.T) {
+	init, target := trainedInitializer(t)
+	msgs := target.Chat.Log.Messages()
+	const channel = "rep-handoff"
+
+	// Factor 2 on 3 nodes: every node replicates to both others, so the
+	// third node is a standby of the source and of the new owner alike.
+	nodes := startReplicatedCluster(t, init, 3, 2)
+	owner := ownerNode(t, nodes, channel)
+	var dest, third *clusterNode
+	for _, cn := range nodes {
+		switch {
+		case cn == owner:
+		case dest == nil:
+			dest = cn
+		default:
+			third = cn
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	checkpoint := func(cn *clusterNode) []byte {
+		t.Helper()
+		sess, ok := cn.eng.Sessions().Get(channel)
+		if !ok {
+			t.Fatalf("session missing on %s", cn.id)
+		}
+		if err := sess.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return cn.store.Checkpoints()[channel]
+	}
+
+	ingest(t, owner.srv.URL, channel, msgs[:len(msgs)/2])
+	want := checkpoint(owner)
+	waitFor(t, 10*time.Second, "source's replica on the third node", func() bool {
+		state, _, ok := third.rep.Store().Get(channel)
+		return ok && bytes.Equal(state, want)
+	})
+
+	hresp := clusterControlPost(t, owner.srv.URL+"/api/cluster/handoff?channel="+channel+"&target="+dest.id)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("handoff = %d", hresp.StatusCode)
+	}
+	ingest(t, owner.srv.URL, channel, msgs[len(msgs)/2:])
+	want = checkpoint(dest)
+	holds := func() bool {
+		state, _, ok := third.rep.Store().Get(channel)
+		return ok && bytes.Equal(state, want)
+	}
+	waitFor(t, 10*time.Second, "new owner's replica on the third node", holds)
+	// Several anti-entropy rounds later the source's DELETE has long been
+	// delivered; the new owner's envelope must still be there.
+	time.Sleep(300 * time.Millisecond)
+	if !holds() {
+		t.Fatal("the source's delete removed the new owner's replica")
+	}
 }
 
 // TestClusterReplicationAntiEntropy: with the send path failpointed dead,
@@ -350,7 +470,7 @@ func TestReplicaFailoverOnPeerDown(t *testing.T) {
 
 	// Heartbeats would declare the owner dead on every survivor; do the
 	// same by hand. The up→down transition fires each survivor's failover.
-	var third *replicatedNode
+	var third *clusterNode
 	for _, rn := range nodes {
 		if rn != owner {
 			if err := rn.node.SetDown(owner.id, true); err != nil {
@@ -397,7 +517,7 @@ func TestReplicaFailoverOnPeerDown(t *testing.T) {
 }
 
 // ownerNode finds the replicated node that owns the channel.
-func ownerNode(t *testing.T, nodes []*replicatedNode, channel string) *replicatedNode {
+func ownerNode(t *testing.T, nodes []*clusterNode, channel string) *clusterNode {
 	t.Helper()
 	id := nodes[0].node.Owner(channel)
 	for _, rn := range nodes {

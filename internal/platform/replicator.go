@@ -2,10 +2,8 @@ package platform
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -58,6 +56,7 @@ type Replicator struct {
 	mu      sync.Mutex
 	pending map[string]replicaUpdate // coalesced outbound queue
 	latest  map[string]replicaUpdate // last accepted checkpoint per channel
+	incs    map[string]uint64        // broadcast incarnation per checkpointed channel
 	resumed map[string]string        // channel → state source ("replica")
 
 	wake chan struct{}
@@ -68,7 +67,7 @@ type Replicator struct {
 
 type replicaUpdate struct {
 	state []byte
-	wm    float64
+	mark  ReplicaMark
 	del   bool
 }
 
@@ -91,6 +90,7 @@ func NewReplicator(svc *Service, store *ReplicaStore, replicas int, reconcileEve
 		reconcileEvery: reconcileEvery,
 		pending:        make(map[string]replicaUpdate),
 		latest:         make(map[string]replicaUpdate),
+		incs:           make(map[string]uint64),
 		resumed:        make(map[string]string),
 		wake:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
@@ -119,8 +119,9 @@ func (rep *Replicator) CheckpointSaved(channel string, state []byte, watermark f
 		// it would only race the delete and spam both nodes' logs.
 		return
 	}
-	up := replicaUpdate{state: append([]byte(nil), state...), wm: watermark}
+	state = append([]byte(nil), state...)
 	rep.mu.Lock()
+	up := replicaUpdate{state: state, mark: ReplicaMark{Inc: rep.incarnationLocked(channel, 0), Watermark: watermark}}
 	rep.pending[channel] = up
 	rep.latest[channel] = up
 	rep.mu.Unlock()
@@ -128,13 +129,43 @@ func (rep *Replicator) CheckpointSaved(channel string, state []byte, watermark f
 }
 
 // CheckpointDropped implements engine.CheckpointListener: the broadcast
-// ended (or handed off), so successors delete their replicas too.
+// ended (or handed off), so successors delete their replicas of its
+// incarnation too — and so does the local replica area, which may still
+// hold the envelope this node adopted the channel from.
 func (rep *Replicator) CheckpointDropped(channel string) {
 	rep.mu.Lock()
-	rep.pending[channel] = replicaUpdate{del: true}
+	inc := rep.incs[channel]
+	rep.pending[channel] = replicaUpdate{del: true, mark: ReplicaMark{Inc: inc}}
 	delete(rep.latest, channel)
+	delete(rep.incs, channel)
 	rep.mu.Unlock()
 	rep.signal()
+	if err := rep.store.Delete(channel, inc); err != nil {
+		log.Printf("platform: dropping local replica of %q: %v", channel, err)
+	}
+}
+
+// incarnation returns the channel's broadcast incarnation on this node,
+// raised above floor if needed. A channel gets one the first time it
+// checkpoints here (or is adopted here, with the sender's incarnation as
+// floor) and keeps it until CheckpointDropped. Values come from the wall
+// clock, so a later broadcast reusing the channel id sorts above an
+// earlier one's tombstone on every standby unless clocks disagree by more
+// than the earlier broadcast lasted; the floor keeps a channel's own
+// history monotone across owners whatever their clocks say.
+func (rep *Replicator) incarnation(channel string, floor uint64) uint64 {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return rep.incarnationLocked(channel, floor)
+}
+
+func (rep *Replicator) incarnationLocked(channel string, floor uint64) uint64 {
+	inc, ok := rep.incs[channel]
+	if !ok || inc <= floor {
+		inc = max(uint64(time.Now().UnixNano()), floor+1)
+		rep.incs[channel] = inc
+	}
+	return inc
 }
 
 func (rep *Replicator) signal() {
@@ -251,19 +282,22 @@ func (rep *Replicator) ship(channel string, up replicaUpdate) {
 				continue
 			}
 		}
-		var err error
+		method := http.MethodPost
 		if up.del {
-			_, err = rep.svc.clusterDo(context.Background(), target, http.MethodDelete,
-				"http://"+addr+"/api/cluster/replica?channel="+url.QueryEscape(channel), nil)
-		} else {
-			_, err = rep.svc.clusterDo(context.Background(), target, http.MethodPost,
-				"http://"+addr+"/api/cluster/replica?channel="+url.QueryEscape(channel)+
-					"&watermark="+strconv.FormatFloat(up.wm, 'g', -1, 64), up.state)
+			method = http.MethodDelete
 		}
-		if err != nil {
+		if _, err := rep.svc.clusterDo(context.Background(), target, method,
+			replicaURL(addr, channel, up.mark), up.state); err != nil {
 			log.Printf("platform: replica ship %q -> %s: %v", channel, target, err)
 		}
 	}
+}
+
+// replicaURL addresses one checkpoint envelope on a peer's replica
+// endpoint (POST files it, DELETE tombstones its incarnation).
+func replicaURL(addr, channel string, m ReplicaMark) string {
+	return "http://" + addr + "/api/cluster/replica?channel=" + url.QueryEscape(channel) +
+		"&inc=" + strconv.FormatUint(m.Inc, 10) + "&watermark=" + strconv.FormatFloat(m.Watermark, 'g', -1, 64)
 }
 
 func (rep *Replicator) reconcileLoop() {
@@ -281,7 +315,7 @@ func (rep *Replicator) reconcileLoop() {
 }
 
 // reconcile is one anti-entropy round: fetch each current target's
-// replica watermarks (one extended /api/cluster/owned call per peer) and
+// replica marks (one extended /api/cluster/owned call per peer) and
 // re-queue every channel the target is missing or behind on. Down peers
 // and fetch failures skip the round — the next tick retries.
 func (rep *Replicator) reconcile() {
@@ -309,12 +343,12 @@ func (rep *Replicator) reconcile() {
 		}
 		for _, ch := range channels {
 			have, ok := owned.Replicas[ch]
-			if ok && have >= latest[ch].wm {
+			if ok && !have.before(latest[ch].mark) {
 				continue
 			}
 			rep.mu.Lock()
 			// Re-queue only if nothing newer is already pending.
-			if cur, pending := rep.pending[ch]; !pending || (!cur.del && cur.wm < latest[ch].wm) {
+			if cur, pending := rep.pending[ch]; !pending || (!cur.del && cur.mark.before(latest[ch].mark)) {
 				rep.pending[ch] = latest[ch]
 			}
 			rep.mu.Unlock()
@@ -323,9 +357,9 @@ func (rep *Replicator) reconcile() {
 	}
 }
 
-// fetchOwned retrieves a peer's extended owned/replica watermark report —
-// single attempt under the cluster call timeout (the reconciler's cadence
-// is the retry loop), breaker-accounted like every peer call.
+// fetchOwned retrieves a peer's extended owned/replica report — single
+// attempt under the cluster call timeout (the reconciler's cadence is the
+// retry loop), breaker-accounted like every peer call.
 func (rep *Replicator) fetchOwned(peer string) (OwnedResponse, error) {
 	c := rep.svc.Cluster
 	addr, ok := c.Addr(peer)
@@ -336,43 +370,15 @@ func (rep *Replicator) fetchOwned(peer string) (OwnedResponse, error) {
 	if !br.Allow() {
 		return OwnedResponse{}, fmt.Errorf("peer %s circuit breaker %s", peer, br.State())
 	}
-	if fault.Enabled() {
-		if err := fault.Hit(cluster.FailpointControl); err != nil {
-			br.Failure()
-			return OwnedResponse{}, err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.Timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/api/cluster/owned", nil)
-	if err != nil {
-		return OwnedResponse{}, err
-	}
-	if c.Secret != "" {
-		req.Header.Set(ClusterKeyHeader, c.Secret)
-	}
-	resp, err := c.Client().Do(req)
-	if err != nil {
-		br.Failure()
-		return OwnedResponse{}, err
-	}
-	br.Success()
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return OwnedResponse{}, fmt.Errorf("owned probe of %s: %s: %s", peer, resp.Status, msg)
-	}
 	var out OwnedResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return OwnedResponse{}, err
-	}
-	return out, nil
+	err := rep.svc.clusterDoOnce(context.Background(), http.MethodGet, "http://"+addr+"/api/cluster/owned", nil, br, &out)
+	return out, err
 }
 
 // PeerDown is the failover entry point, registered as the cluster's
 // OnPeerDown observer: when dead is declared down (heartbeat misses or
 // operator announcement), every replicated channel the ring now places on
-// THIS node resumes from the local replica area — the victim's disk is
+// THIS node is adopted from the local replica area — the victim's disk is
 // never read. Channels the ring places on other survivors are left to
 // them (each node runs the same deterministic placement), and a channel
 // that is already live anywhere stays where it is.
@@ -388,31 +394,28 @@ func (rep *Replicator) PeerDown(dead string) {
 			continue
 		}
 		// Split-brain guard: a channel may be live on a survivor this
-		// node's routing hasn't caught up with (a handoff this node missed,
-		// an operator resume). Probe the other up peers before adopting —
-		// best-effort: a probe failure proceeds (the peer may be down too),
-		// and the RestoreSession ErrSessionExists race below remains the
-		// backstop on this node itself.
+		// node's routing hasn't caught up with (a handoff this node missed).
+		// Probe the other up peers before adopting — best-effort: a probe
+		// failure proceeds (the peer may be down too), and adopt's
+		// ErrSessionExists answer remains the backstop on this node itself.
 		if rep.liveElsewhere(channel, dead) {
 			continue
 		}
-		state, wm, ok := rep.store.Get(channel)
+		state, mark, ok := rep.store.Get(channel)
 		if !ok {
 			continue
 		}
-		if _, err := s.Engine.Sessions().RestoreSession(channel, state); err != nil {
+		if _, err := s.adopt(channel, mark.Inc, state); err != nil {
 			if !errors.Is(err, engine.ErrSessionExists) {
 				log.Printf("platform: replica failover %q: %v", channel, err)
 			}
 			continue
 		}
-		s.dotsCache.drop(channel)
-		_ = c.SetOverride(channel, c.Self())
 		rep.mu.Lock()
 		rep.resumed[channel] = "replica"
 		rep.mu.Unlock()
 		log.Printf("platform: resumed channel %q from replica (watermark %.3f) after %s went down",
-			channel, wm, dead)
+			channel, mark.Watermark, dead)
 		// Best-effort pin broadcast, as in the handoff commit: an
 		// unnotified peer still converges through the ring (dead is down
 		// everywhere heartbeats run), just with an extra hop.

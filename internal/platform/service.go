@@ -65,8 +65,9 @@ type Service struct {
 	// Replication, when set (NewReplicator sets it), enables checkpoint
 	// replication to ring successors and replica-backed failover: the
 	// /api/cluster/replica endpoints store peers' envelopes in the local
-	// replica area, and healthz reports channels resumed from replicas.
-	// Requires Cluster. See replicator.go.
+	// replica area (and adopt handed-off channels), and healthz reports
+	// channels resumed from replicas. Requires Cluster; a node without it
+	// cannot receive a handoff. See replicator.go.
 	Replication *Replicator
 	// DefaultK is the number of red dots served when the request does not
 	// specify k (default 5).
@@ -166,9 +167,6 @@ type LiveDotsResponse struct {
 // Handler returns the HTTP handler implementing the service API.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
 	// The heartbeat probe target: a static body with no JSON assembly or
 	// state walks, cheap enough to answer once per second per peer times
 	// the whole cluster. Operators and dashboards keep /api/healthz.
@@ -193,7 +191,6 @@ func (s *Service) Handler() http.Handler {
 		// mark nodes down, so every endpoint sits behind the shared
 		// cluster secret (see requireClusterKey).
 		mux.HandleFunc("POST /api/cluster/handoff", s.requireClusterKey(s.handleClusterHandoff))
-		mux.HandleFunc("POST /api/cluster/resume", s.requireClusterKey(s.handleClusterResume))
 		mux.HandleFunc("POST /api/cluster/route", s.requireClusterKey(s.handleClusterRoute))
 		mux.HandleFunc("POST /api/cluster/down", s.requireClusterKey(s.handleClusterDown))
 		mux.HandleFunc("GET /api/cluster/owned", s.requireClusterKey(s.handleClusterOwned))
