@@ -2,8 +2,7 @@
 // (Section VII), one benchmark per artifact, plus micro-benchmarks of the
 // hot paths. Each figure benchmark runs the corresponding experiment at
 // quick scale so the whole suite completes in minutes; use
-// `go run ./cmd/lightor-bench -scale default` for the paper-scale numbers
-// recorded in EXPERIMENTS.md.
+// `go run ./cmd/lightor-bench -scale default` for the paper-scale numbers.
 package lightor_test
 
 import (
@@ -343,8 +342,8 @@ func benchTrainedEngine(b *testing.B) (*core.Initializer, sim.VideoData) {
 
 // BenchmarkOnlineFeed measures the per-message cost of the streaming hot
 // path after the PR-2 incremental refactor. The bodies live in
-// internal/perf so the CI zero-alloc gate and the -bench-json perf
-// artifact measure identical workloads.
+// internal/perf so the CI zero-alloc gate and the same-run gates measure
+// identical workloads.
 //
 //   - steady-state: a message landing in the open window with closed
 //     windows pending under the δ horizon — the dominant case, required to
@@ -388,7 +387,7 @@ func BenchmarkEngineMultiChannelIngest(b *testing.B) {
 // Batch 1 is the old per-message path (one envelope, one lock hop, one
 // worker wake-up per message); batch 256 is a goal-moment burst riding one
 // envelope. The msgs/sec ratio between them is the amortization win the
-// batched mailbox buys, recorded per commit in BENCH_PR4.json.
+// batched mailbox buys.
 func BenchmarkEngineBurstIngest(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -414,7 +413,7 @@ func BenchmarkEngineBatchIngest(b *testing.B) {
 // through the real handler (mux, query parse, streaming JSON decode,
 // engine mailbox, response encode). Batch 1 pays the full request tax per
 // message; batch 256 amortizes it away — the headline batched-ingest
-// speedup recorded in BENCH_PR4.json.
+// speedup TestIngestBatchSpeedupGate holds at >= 3x.
 func BenchmarkLiveHTTPIngest(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -431,7 +430,7 @@ func BenchmarkLiveHTTPIngest(b *testing.B) {
 // "hot" is the version-keyed response cache plus conditional GETs (steady
 // state: cache hit or bodyless 304); "cold" disables both — the PR 4 read
 // path that re-encoded every poll. The hot-vs-cold ratio is the CI-gated
-// read speedup in BENCH_PR5.json.
+// read speedup (TestReadSpeedupGate).
 func BenchmarkHTTPDotsRead(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -479,8 +478,8 @@ func BenchmarkZipfMixedLoad(b *testing.B) {
 // BenchmarkFlashCrowd steps a mid-rank channel to 100× its Zipf share
 // halfway through each schedule. admission=on sheds the hot channel's
 // excess writes (429 + Retry-After) and keeps cold-channel reads fast;
-// admission=off lets the hot mailbox grow without bound — the
-// differential BENCH_PR8.json records.
+// admission=off lets the hot mailbox grow without bound.
+// TestLatencyGate bounds the admission=on row.
 func BenchmarkFlashCrowd(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -493,7 +492,7 @@ func BenchmarkFlashCrowd(b *testing.B) {
 // consistent-hash owner's real handler. Pre-routed clients, so the sweep
 // prices sharding itself (the Owner() routing check, engines split N
 // ways); the aggregate(N)/aggregate(1) ratio is the CI-gated cluster
-// scale floor in BENCH_PR7.json.
+// scale floor (TestClusterScaleGate).
 func BenchmarkClusterIngest(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -516,8 +515,8 @@ func BenchmarkClusterRead(b *testing.B) {
 // BenchmarkPushFanout is the push-lane headline: versioned broadcast
 // delivery to 1k/10k/100k SSE subscribers on one channel. Each broadcast
 // version is encoded exactly once however many subscribers are attached
-// (the CI-gated encodes/version == 1 metric in BENCH_PR6.json); fan-out
-// is pointer enqueues of one immutable frame.
+// (encodes/version == 1, held by TestPushGate); fan-out is pointer
+// enqueues of one immutable frame.
 func BenchmarkPushFanout(b *testing.B) {
 	init, d := benchTrainedEngine(b)
 	msgs := d.Chat.Log.Messages()
@@ -597,7 +596,7 @@ func BenchmarkRefineKDots(b *testing.B) {
 // BenchmarkWALAppend measures the CPU cost the write-ahead log adds to
 // every accepted mutation: framing, CRC32, and the buffered write (fsync
 // excluded — durability cost is the group commit's, amortized across
-// concurrent appends). Body shared with lightor-bench -bench-json.
+// concurrent appends).
 func BenchmarkWALAppend(b *testing.B) {
 	perfwal.Append(b.TempDir())(b)
 }

@@ -106,6 +106,11 @@ func startDrillServer(t *testing.T, bin, id, addr string, extra ...string) *dril
 	return startDrillServerEnv(t, bin, id, addr, nil, extra...)
 }
 
+// drillProcAttr is applied to every spawned server. On Linux it asks the
+// kernel to SIGKILL the server when this test binary dies: a test timeout
+// panics past t.Cleanup, which would otherwise leave servers running.
+var drillProcAttr *syscall.SysProcAttr
+
 // startDrillServerEnv is startDrillServer with extra environment variables
 // appended — the chaos drill arms per-node failpoints via LIGHTOR_FAILPOINTS.
 func startDrillServerEnv(t *testing.T, bin, id, addr string, env []string, extra ...string) *drillProc {
@@ -113,6 +118,7 @@ func startDrillServerEnv(t *testing.T, bin, id, addr string, env []string, extra
 	args := append([]string{"-addr", addr}, drillTrainArgs...)
 	args = append(args, extra...)
 	cmd := exec.Command(bin, args...)
+	cmd.SysProcAttr = drillProcAttr
 	if len(env) > 0 {
 		cmd.Env = append(os.Environ(), env...)
 	}

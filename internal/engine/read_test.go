@@ -351,3 +351,63 @@ func TestDotListenerLifecycle(t *testing.T) {
 		t.Fatalf("unregistered listener still observed publications: %d events", n)
 	}
 }
+
+// blockingListener parks the mailbox worker inside the first
+// DotsPublished until release is closed, holding that batch in flight.
+type blockingListener struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (l *blockingListener) DotsPublished(*Session) {
+	l.once.Do(func() {
+		close(l.entered)
+		<-l.release
+	})
+}
+
+func (l *blockingListener) SessionClosed(string) {}
+
+// TestPendingCountsInFlightBatch pins Pending as a drain barrier: one
+// ingest batch is one envelope, and the worker pops it before feeding it,
+// so a count of queued envelopes alone reads 0 while the batch is still
+// being processed. Pending must stay above 0 until processing (dot
+// publication and the listener included) has returned.
+func TestPendingCountsInFlightBatch(t *testing.T) {
+	init, _ := trainedFixture(t)
+	eng := newTestEngine(t, init, Config{})
+	lis := &blockingListener{entered: make(chan struct{}), release: make(chan struct{})}
+	var released sync.Once
+	release := func() { released.Do(func() { close(lis.release) }) }
+	t.Cleanup(release) // runs before the engine's Close
+	eng.Sessions().SetDotListener(lis)
+
+	s, err := eng.Sessions().open("inflight", &scriptedBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest(chat.Message{Time: 0, Text: "m"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-lis.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never published the batch's dot")
+	}
+	for i := 0; i < 5; i++ {
+		if n := s.Pending(); n != 1 {
+			t.Fatalf("Pending() = %d while the only batch is in flight, want 1", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	release()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Pending() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("mailbox never drained after release")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -258,9 +258,10 @@ type Session struct {
 	// session is visible) stores a new snapshot, so writes never race.
 	dots atomic.Pointer[dotSnapshot]
 
-	mu        sync.Mutex // guards queue, running, watermark, closed, err
+	mu        sync.Mutex // guards queue, running, busy, watermark, closed, err
 	queue     envelopeRing
 	running   bool
+	busy      bool // the worker has popped an envelope it has not finished
 	closed    bool
 	flushDone chan struct{} // non-nil once a flush is enqueued; closed when processed
 	watermark float64       // highest timestamp accepted so far
@@ -429,10 +430,15 @@ func (s *Session) restoreDots(dots []core.RedDot) {
 	s.dots.Store(newDotSnapshot(dots))
 }
 
-// Pending returns the number of envelopes waiting in the mailbox.
+// Pending returns the number of envelopes queued in the mailbox plus the
+// one the worker is processing, so it reaches 0 only once every accepted
+// batch has been fed and its dots published.
 func (s *Session) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.busy {
+		return s.queue.len() + 1
+	}
 	return s.queue.len()
 }
 
@@ -458,6 +464,7 @@ func (s *Session) drain() {
 	for {
 		s.mu.Lock()
 		env, ok := s.queue.pop()
+		s.busy = ok
 		if !ok {
 			s.running = false
 			s.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 
 // The experiment tests assert the paper's comparative SHAPE on quick-scale
 // data: who wins, rough factors, crossovers. Absolute values are asserted
-// loosely; EXPERIMENTS.md records the full-scale numbers.
+// loosely; `go run ./cmd/lightor-bench` prints the full-scale numbers.
 
 func TestFigure2aShape(t *testing.T) {
 	r, err := Figure2a(Quick())
@@ -241,7 +241,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("Lightor end-to-end start precision = %.3f, want >= 0.6", r.LightorStartP)
 	}
 	// At quick scale the Joint-LSTM is tiny, so the speedup bound is loose;
-	// Default() scale shows the orders-of-magnitude gap (see EXPERIMENTS.md).
+	// Default() scale shows the orders-of-magnitude gap (go run ./cmd/lightor-bench -run table1).
 	if r.SpeedupFactor() < 3 {
 		t.Errorf("training speedup = %.0fx, want >= 3x", r.SpeedupFactor())
 	}

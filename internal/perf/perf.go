@@ -1,8 +1,9 @@
-// Package perf is the shared hot-path benchmark harness. Both the go-test
-// benchmarks (bench_test.go, which CI smokes and gates) and the
-// machine-readable perf-trajectory reporter (cmd/lightor-bench -bench-json)
-// run these exact bodies, so the zero-alloc gate and the recorded artifact
-// measure the same workloads and cannot drift apart.
+// Package perf is the shared hot-path benchmark harness. The go-test
+// benchmarks (bench_test.go, which CI smokes and zero-alloc gates) and
+// the same-run ratio gates (gates_test.go in this package, which drive
+// the perf* fixture bodies through testing.Benchmark) run these exact
+// bodies, so a gate and the benchmark it summarizes cannot drift apart.
+// End-to-end, multi-core performance is judged by perfbench instead.
 package perf
 
 import (

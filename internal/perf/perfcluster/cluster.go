@@ -6,7 +6,7 @@
 // measure what sharding itself costs and buys: the per-request Owner()
 // routing check on every hot path, engines and caches split N ways, and
 // the aggregate-throughput scale ratio aggregate(N)/aggregate(1) that
-// the baseline gate holds a floor under. Peer addresses point at
+// the cluster scale gate holds a floor under. Peer addresses point at
 // TEST-NET-3 and are never dialed — misrouted-traffic cost is the
 // forwarding tests' business; these bodies isolate the sharding tax.
 package perfcluster
@@ -231,9 +231,8 @@ func ClusterRead(init *core.Initializer, msgs []chat.Message, nodes, pollers int
 				fail(err)
 				return
 			}
-			// Pending() hits zero when the worker pops the last envelope,
-			// not when its dot publication lands — so wait for the dots
-			// themselves, not just an empty mailbox.
+			// Wait for the dots themselves: the read lane needs a
+			// history to serve, not just an empty mailbox.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				if _, n := s.Dots(0); n > 0 {

@@ -30,7 +30,7 @@ import (
 // started listeners: the replica traffic must actually be delivered,
 // applied, and fsynced on the standby for the measured overhead to be
 // honest. The headline is a same-run on/off ratio, so machine speed
-// cancels out and the baseline gate can hold a floor under it.
+// cancels out and a same-run gate can hold a floor under it.
 const (
 	// ReplicationNodes is the fixed topology for the replication rows:
 	// big enough that every channel has a distinct ring successor to
@@ -69,11 +69,9 @@ type replFixture struct {
 }
 
 // newReplFixture stands up n checkpointing cluster nodes behind real
-// listeners. ckptEvery < 0 disables interval checkpoints (explicit
-// Checkpoint calls only — the checkpoint-latency rows); replicated
-// wires a ReplicaStore + Replicator per node and starts the ship and
-// anti-entropy loops.
-func newReplFixture(b *testing.B, init *core.Initializer, n int, ckptEvery time.Duration, replicated bool) (*replFixture, error) {
+// listeners. replicated wires a ReplicaStore + Replicator per node and
+// starts the ship and anti-entropy loops.
+func newReplFixture(b *testing.B, init *core.Initializer, n int, replicated bool) (*replFixture, error) {
 	nodes := make([]*replNode, n)
 	var peerSpec []string
 	// Listeners first: peer addresses must exist before any Node (and
@@ -110,7 +108,7 @@ func newReplFixture(b *testing.B, init *core.Initializer, n int, ckptEvery time.
 		rn.eng, err = engine.New(init, ext, engine.Config{
 			Warmup:             -1,
 			Checkpoints:        rn.store,
-			CheckpointInterval: ckptEvery,
+			CheckpointInterval: replCheckpointEvery,
 		})
 		if err != nil {
 			fx.closeAll()
@@ -227,7 +225,7 @@ func ReplicatedClusterIngest(init *core.Initializer, msgs []chat.Message, nodes 
 			}
 			b.Error(err)
 		}
-		fx, err := newReplFixture(b, init, nodes, replCheckpointEvery, replicated)
+		fx, err := newReplFixture(b, init, nodes, replicated)
 		if err != nil {
 			fail(err)
 			return
@@ -291,62 +289,5 @@ func ReplicatedClusterIngest(init *core.Initializer, msgs []chat.Message, nodes 
 		total := float64(b.N) * ClusterChannels * float64(len(msgs))
 		b.ReportMetric(total/b.Elapsed().Seconds(), "msgs/sec")
 		b.ReportMetric(total/b.Elapsed().Seconds()/float64(nodes), "msgs/sec/node")
-	}
-}
-
-// ReplicatedCheckpointLatency measures one explicit live-session
-// checkpoint on a cluster node, with and without a replicator attached.
-// The replication contract is that shipping is asynchronous: the "on"
-// arm pays only the listener's state copy and queue insert, never a
-// network round-trip, so the two arms should be close to
-// indistinguishable. Recorded as the off-the-ack-path exhibit.
-func ReplicatedCheckpointLatency(init *core.Initializer, msgs []chat.Message, nodes int, replicated bool, sink *perfengine.ErrSink) func(*testing.B) {
-	return func(b *testing.B) {
-		fail := func(err error) {
-			if sink != nil {
-				sink.Set(err)
-			}
-			b.Error(err)
-		}
-		fx, err := newReplFixture(b, init, nodes, -1, replicated)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer fx.closeAll()
-		const channel = "perf-repl-ckpt"
-		s, err := fx.nodes[fx.ownerIdx(channel)].eng.Sessions().GetOrOpen(channel)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := s.Ingest(msgs...); err != nil {
-			fail(err)
-			return
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for s.Pending() > 0 {
-			if time.Now().After(deadline) {
-				fail(fmt.Errorf("replicated checkpoint fixture: %s never drained (pending %d)", channel, s.Pending()))
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		ctx := context.Background()
-
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Checkpoint(ctx); err != nil {
-				fail(err)
-				return
-			}
-		}
-		b.StopTimer()
-		if replicated {
-			if err := fx.verifyReplication(msgs); err != nil {
-				fail(err)
-				return
-			}
-		}
 	}
 }

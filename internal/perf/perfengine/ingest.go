@@ -25,10 +25,10 @@ var IngestChannelSweep = []int{1, 8, 64}
 var IngestBatchSweep = []int{1, 16, 256}
 
 // ErrSink captures failures from benchmark goroutines. testing.Benchmark
-// exposes no failure signal to non-test callers, and b.Error during the
-// timed ramp still yields a partial result with N > 0 — so the JSON
-// reporter checks the sink to reject results from short-circuited runs
-// instead of recording them as the commit's perf trajectory.
+// exposes no failure signal to its caller, and b.Error during the timed
+// ramp still yields a partial result with N > 0 — so the same-run gates
+// check the sink to reject results from short-circuited runs instead of
+// judging a ratio on them.
 type ErrSink struct {
 	mu  sync.Mutex
 	err error
@@ -55,8 +55,8 @@ func (s *ErrSink) Err() error {
 
 // MultiChannelIngest streams the full simulated broadcast into `channels`
 // concurrent engine sessions per iteration and reports msgs/sec — the
-// historical trajectory benchmark, pinned at batch size 64. Failures go to
-// b.Error and, when sink is non-nil, are also recorded there for non-test
+// historical series, pinned at batch size 64. Failures go to b.Error and,
+// when sink is non-nil, are also recorded there for testing.Benchmark
 // callers.
 func MultiChannelIngest(init *core.Initializer, msgs []chat.Message, channels int, sink *ErrSink) func(*testing.B) {
 	return BurstIngest(init, msgs, channels, 64, sink)

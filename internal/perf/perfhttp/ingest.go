@@ -4,8 +4,8 @@
 // full per-request tax a producer pays per POST /api/live/chat. This is
 // where batching matters most: at batch size 1 every message pays the
 // whole request overhead; at batch 256 it is amortized 256-fold, leaving
-// only the decoder's and detector's true per-message work. The headline
-// batched-ingest speedup in BENCH_PR4.json comes from these bodies.
+// only the decoder's and detector's true per-message work. The batched-
+// ingest speedup gate (internal/perf/gates_test.go) runs these bodies.
 package perfhttp
 
 import (

@@ -36,9 +36,7 @@ const pushIngestBatch = 256
 // engine tuning, but with a checkpoint store configured so that
 // Session.Checkpoint can serve as a mailbox barrier — it is processed in
 // envelope order, so when it returns every prior batch's dot publication
-// (and the hub broadcast it triggers) has completed. Pending() cannot
-// give that guarantee: it reaches zero when the last envelope is popped,
-// not when its publish finishes.
+// (and the hub broadcast it triggers) has completed, with no polling.
 func newPushFixture(init *core.Initializer, msgs []chat.Message) (*readFixture, error) {
 	ext, err := core.NewExtractor(core.DefaultExtractorConfig(), nil)
 	if err != nil {

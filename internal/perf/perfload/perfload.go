@@ -56,7 +56,7 @@ type Mix struct {
 	Refine float64
 }
 
-// The canonical mixes benched into BENCH_*.json: the viewer-dominated
+// The canonical mixes the latency gate runs: the viewer-dominated
 // steady state, and a write-heavy stress shaped like many channels'
 // producers bursting at once.
 var (

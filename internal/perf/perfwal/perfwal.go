@@ -1,9 +1,7 @@
 // Package perfwal holds the shared benchmark bodies for the durable
 // persistence layer: WAL append throughput, live-session checkpoint
-// latency, and cold-start recovery time. Both the go-test benchmarks
-// (bench_test.go) and the machine-readable perf reporter
-// (cmd/lightor-bench -bench-json) run these exact bodies, so the recorded
-// perf trajectory and the CI smoke measure the same workloads.
+// latency, and cold-start recovery time, run by the go-test benchmarks
+// in bench_test.go.
 package perfwal
 
 import (
