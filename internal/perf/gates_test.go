@@ -66,8 +66,8 @@ const (
 
 // Tail-latency contracts, admission on.
 const (
-	// maxLatencyDispersion bounds p999/p50 (observed ~40–100); the
-	// ceiling catches a tail collapsing into queueing.
+	// maxLatencyDispersion bounds p999/p50 (medians of ~60–140 observed
+	// on one P); the ceiling catches a tail collapsing into queueing.
 	maxLatencyDispersion = 2000.0
 	// maxFlashColdRatio bounds cold-channel read p99 under the flash
 	// crowd as a multiple of the read-heavy Zipf row's: admission must
@@ -81,13 +81,10 @@ const (
 	flashBacklogSlack = 16
 )
 
-// TestMain runs the gates on one P, where every floor below was
-// calibrated: the 1-CPU reports they come from all recorded gomaxprocs 1.
-// With two Ps on a two-core host, the GC mark phase puts 2–14 ms stalls
-// into p999, and the in-process standbys' replica writes take CPU the
-// ingest fleet would otherwise use. It also shortens each measurement to
-// 200 ms unless -test.benchtime is given: several short interleaved runs
-// resist background load better than one long run, at the same cost.
+// TestMain shortens each measurement to 200 ms unless -test.benchtime
+// is given: several short interleaved runs resist background load better
+// than one long run, at the same cost. The gates run at the default
+// GOMAXPROCS, as the server does, except where oneP says otherwise.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	set := false
@@ -95,7 +92,6 @@ func TestMain(m *testing.M) {
 	if !set {
 		flag.Set("test.benchtime", "200ms")
 	}
-	runtime.GOMAXPROCS(1)
 	os.Exit(m.Run())
 }
 
@@ -173,10 +169,40 @@ func ratios(t *testing.T, metric string, arms ...arm) []float64 {
 	}
 	med := make([]float64, len(per))
 	for i, r := range per {
-		slices.Sort(r)
-		med[i] = r[len(r)/2]
+		med[i] = median(r)
 	}
 	return med
+}
+
+// median returns the middle of an odd number of per-round readings.
+func median(xs []float64) float64 {
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+// longSamples measures the rest of the calling gate with 1 s samples,
+// the length every reading had in the report these gates come from.
+func longSamples(t *testing.T) {
+	old := flag.Lookup("test.benchtime").Value.String()
+	flag.Set("test.benchtime", "1s")
+	t.Cleanup(func() { flag.Set("test.benchtime", old) })
+}
+
+// oneP runs the rest of the calling gate on one P, where the tail-latency
+// and replication floors were calibrated: every report they come from
+// recorded gomaxprocs 1. On a two-vCPU shared host at two Ps their
+// readings follow the neighbours' load rather than the program. A
+// scheduler-latency trace put the p999 stalls in GC mark termination,
+// which waits for both Ps while the host may have descheduled one, and
+// the replication fleet's throughput swings with the shared disk. Per
+// round, flash-crowd p999/p50 read from ~150× to over 13000× and
+// replication on/off 0.73–1.16×, and builds with these gates passed 5 of
+// 5 package runs in one hour and failed 2 of 3 in the next. On one P the
+// same rounds read mostly under 200× and 0.94–1.18×.
+func oneP(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // atLeast logs a gated ratio and fails the gate when it is under floor.
@@ -395,11 +421,10 @@ func TestClusterScaleGate(t *testing.T) {
 
 func TestReplicationOverheadGate(t *testing.T) {
 	init, msgs := fixture(t)
+	oneP(t)
 	// The "on" arm's ship and anti-entropy loops fire every 100–200 ms,
-	// which a short sample catches zero or one time: measure for 1 s.
-	old := flag.Lookup("test.benchtime").Value.String()
-	flag.Set("test.benchtime", "1s")
-	t.Cleanup(func() { flag.Set("test.benchtime", old) })
+	// which a short sample catches zero or one time.
+	longSamples(t)
 	replication := func(on bool) arm {
 		return arm{fmt.Sprintf("replication_ingest/replicated=%t", on),
 			func(sink *perfengine.ErrSink) func(*testing.B) {
@@ -410,32 +435,38 @@ func TestReplicationOverheadGate(t *testing.T) {
 	atLeast(t, "replication on vs off ingest", r[0], minReplicationIngestRatio)
 }
 
-// latencyRow is one tail-latency row, in microseconds.
+// latencyRow is one tail-latency row, judged over rounds: the median of
+// its per-round p999/p50, and whether every shed response in every round
+// carried Retry-After.
 type latencyRow struct {
 	name         string
-	p50, p999    float64
-	coldP99      float64
+	dispersion   float64
 	retryAfterOK bool
 }
 
 // flashRow is the flash-crowd run with admission on.
 type flashRow struct {
 	latencyRow
+	// hotBacklog is the hot channel's largest sampled backlog over all
+	// rounds: the bound is structural and must hold in every round.
 	hotBacklog    float64
 	backlogBudget int
+	// coldRatio is the median over rounds of cold-channel read p99 over
+	// the read-heavy Zipf row's cold p99 in the same round.
+	coldRatio float64
 }
 
 // latencyViolations checks the tail-latency contracts: bounded p999/p50
 // dispersion and Retry-After on every shed for every row; for the flash
 // crowd, the hot channel's backlog within its admission budget plus
 // racing-admit slack, and cold-channel read p99 within maxFlashColdRatio
-// of steadyColdP99 (the read-heavy Zipf row's).
-func latencyViolations(rows []latencyRow, flash flashRow, steadyColdP99 float64) []string {
+// of the read-heavy Zipf row's.
+func latencyViolations(rows []latencyRow, flash flashRow) []string {
 	var v []string
 	check := func(row latencyRow) {
-		if row.p50 > 0 && row.p999/row.p50 > maxLatencyDispersion {
+		if row.dispersion > maxLatencyDispersion {
 			v = append(v, fmt.Sprintf("%s: p999/p50 dispersion %.0f× > allowed %.0f×",
-				row.name, row.p999/row.p50, maxLatencyDispersion))
+				row.name, row.dispersion, maxLatencyDispersion))
 		}
 		if !row.retryAfterOK {
 			v = append(v, row.name+": a shed response was missing Retry-After")
@@ -449,60 +480,65 @@ func latencyViolations(rows []latencyRow, flash flashRow, steadyColdP99 float64)
 		v = append(v, fmt.Sprintf("%s: hot_backlog %.0f > budget %d + slack %d",
 			flash.name, flash.hotBacklog, flash.backlogBudget, flashBacklogSlack))
 	}
-	if flash.coldP99 > steadyColdP99*maxFlashColdRatio {
-		v = append(v, fmt.Sprintf("%s: cold-channel read p99 %.1f µs > %.0f× the read-heavy row's %.1f µs",
-			flash.name, flash.coldP99, maxFlashColdRatio, steadyColdP99))
+	if flash.coldRatio > maxFlashColdRatio {
+		v = append(v, fmt.Sprintf("%s: cold-channel read p99 %.1f× the read-heavy row's > allowed %.0f×",
+			flash.name, flash.coldRatio, maxFlashColdRatio))
 	}
 	return v
 }
 
-// merge folds one round's reading into the row. The timings keep the
-// least-disturbed round (lowest dispersion, lowest cold p99); Retry-After
-// on every shed must hold in every round.
-func (row *latencyRow) merge(first bool, r testing.BenchmarkResult) {
-	p50, p999 := r.Extra["p50_us"], r.Extra["p999_us"]
-	if first || p999/p50 < row.p999/row.p50 {
-		row.p50, row.p999 = p50, p999
-	}
-	if cold := r.Extra["cold_p99_us"]; first || cold < row.coldP99 {
-		row.coldP99 = cold
-	}
-	row.retryAfterOK = (first || row.retryAfterOK) && r.Extra["retry_ok"] >= 1
-}
-
 func TestLatencyGate(t *testing.T) {
 	init, msgs := fixture(t)
+	oneP(t)
 	opts := perfload.DefaultOptions()
 	zipf := []perfload.Mix{perfload.ReadHeavy, perfload.WriteHeavy}
 	rows := make([]latencyRow, len(zipf))
 	for i, mix := range zipf {
-		rows[i].name = "latency_zipf[mix=" + mix.Name + "]"
+		rows[i] = latencyRow{name: "latency_zipf[mix=" + mix.Name + "]", retryAfterOK: true}
 	}
-	flash := flashRow{latencyRow: latencyRow{name: "latency_flash_crowd[admission=on]"}, backlogBudget: opts.MaxChannelBacklog}
-	for round := range rounds {
+	flash := flashRow{latencyRow: latencyRow{name: "latency_flash_crowd[admission=on]", retryAfterOK: true},
+		backlogBudget: opts.MaxChannelBacklog}
+	// One round's reading of a row: log it, fold Retry-After into the
+	// row and return p999/p50 and cold p99.
+	read := func(row *latencyRow, r testing.BenchmarkResult) (dispersion, coldP99 float64) {
+		t.Logf("%s: p50 %.1f µs, p999 %.1f µs, cold p99 %.1f µs, shed %.1f%%, hot backlog %.0f",
+			row.name, r.Extra["p50_us"], r.Extra["p999_us"], r.Extra["cold_p99_us"], r.Extra["shed_pct"], r.Extra["hot_backlog"])
+		row.retryAfterOK = row.retryAfterOK && r.Extra["retry_ok"] >= 1
+		return r.Extra["p999_us"] / r.Extra["p50_us"], r.Extra["cold_p99_us"]
+	}
+	dispersions := make([][]float64, len(rows)+1) // the flash row last
+	var coldRatios []float64
+	for range rounds {
+		var steadyColdP99 float64
 		for i, mix := range zipf {
 			r := run(t, rows[i].name, func(sink *perfengine.ErrSink) func(*testing.B) {
 				return perfload.ZipfMixed(init, msgs, mix, opts, sink)
 			})
-			t.Logf("%s: p50 %.1f µs, p999 %.1f µs, cold p99 %.1f µs, shed %.1f%%",
-				rows[i].name, r.Extra["p50_us"], r.Extra["p999_us"], r.Extra["cold_p99_us"], r.Extra["shed_pct"])
-			rows[i].merge(round == 0, r)
+			d, cold := read(&rows[i], r)
+			dispersions[i] = append(dispersions[i], d)
+			if i == 0 {
+				steadyColdP99 = cold
+			}
 		}
 		r := run(t, flash.name, func(sink *perfengine.ErrSink) func(*testing.B) {
 			return perfload.FlashCrowd(init, msgs, true, opts, sink)
 		})
-		t.Logf("%s: p50 %.1f µs, p999 %.1f µs, cold p99 %.1f µs, shed %.1f%%, hot backlog %.0f",
-			flash.name, r.Extra["p50_us"], r.Extra["p999_us"], r.Extra["cold_p99_us"], r.Extra["shed_pct"], r.Extra["hot_backlog"])
-		flash.merge(round == 0, r)
-		// The backlog bound is structural: it must hold in every round.
+		d, cold := read(&flash.latencyRow, r)
+		dispersions[len(rows)] = append(dispersions[len(rows)], d)
+		coldRatios = append(coldRatios, cold/steadyColdP99)
 		flash.hotBacklog = max(flash.hotBacklog, r.Extra["hot_backlog"])
 	}
-	for _, row := range append(rows, flash.latencyRow) {
-		t.Logf("%s: p999/p50 %.0f× (ceiling %.0f×)", row.name, row.p999/row.p50, maxLatencyDispersion)
+	for i := range rows {
+		rows[i].dispersion = median(dispersions[i])
 	}
-	t.Logf("%s: hot backlog %.0f (budget %d + slack %d); cold p99 %.1f× the read-heavy row (ceiling %.0f×)",
-		flash.name, flash.hotBacklog, flash.backlogBudget, flashBacklogSlack, flash.coldP99/rows[0].coldP99, maxFlashColdRatio)
-	for _, msg := range latencyViolations(rows, flash, rows[0].coldP99) {
+	flash.dispersion = median(dispersions[len(rows)])
+	flash.coldRatio = median(coldRatios)
+	for _, row := range append(rows, flash.latencyRow) {
+		t.Logf("%s: p999/p50 %.0f× median (ceiling %.0f×)", row.name, row.dispersion, maxLatencyDispersion)
+	}
+	t.Logf("%s: hot backlog %.0f (budget %d + slack %d); cold p99 %.1f× the read-heavy row median (ceiling %.0f×)",
+		flash.name, flash.hotBacklog, flash.backlogBudget, flashBacklogSlack, flash.coldRatio, maxFlashColdRatio)
+	for _, msg := range latencyViolations(rows, flash) {
 		t.Error(msg)
 	}
 }
@@ -510,23 +546,24 @@ func TestLatencyGate(t *testing.T) {
 func TestLatencyViolations(t *testing.T) {
 	good := func() ([]latencyRow, flashRow) {
 		rows := []latencyRow{
-			{name: "latency_zipf[mix=read-heavy]", p50: 2.6, p999: 156, coldP99: 17, retryAfterOK: true},
-			{name: "latency_zipf[mix=write-heavy]", p50: 2.9, p999: 111, coldP99: 20, retryAfterOK: true},
+			{name: "latency_zipf[mix=read-heavy]", dispersion: 60, retryAfterOK: true},
+			{name: "latency_zipf[mix=write-heavy]", dispersion: 38, retryAfterOK: true},
 		}
 		flash := flashRow{
-			latencyRow:    latencyRow{name: "latency_flash_crowd[admission=on]", p50: 3.5, p999: 352, coldP99: 17, retryAfterOK: true},
+			latencyRow:    latencyRow{name: "latency_flash_crowd[admission=on]", dispersion: 100, retryAfterOK: true},
 			hotBacklog:    64,
 			backlogBudget: 64,
+			coldRatio:     1.2,
 		}
 		return rows, flash
 	}
 	rows, flash := good()
-	if v := latencyViolations(rows, flash, rows[0].coldP99); len(v) != 0 {
+	if v := latencyViolations(rows, flash); len(v) != 0 {
 		t.Fatalf("healthy rows flagged: %v", v)
 	}
 	// Exactly budget + slack is still inside the bound.
 	flash.hotBacklog = 64 + flashBacklogSlack
-	if v := latencyViolations(rows, flash, rows[0].coldP99); len(v) != 0 {
+	if v := latencyViolations(rows, flash); len(v) != 0 {
 		t.Fatalf("hot backlog at budget+slack flagged: %v", v)
 	}
 	for _, tc := range []struct {
@@ -534,15 +571,15 @@ func TestLatencyViolations(t *testing.T) {
 		breaks func(rows []latencyRow, flash *flashRow)
 		want   string
 	}{
-		{"tail blew out", func(r []latencyRow, _ *flashRow) { r[0].p999 = 2.6 * 2500 }, "read-heavy]: p999/p50 dispersion"},
+		{"tail blew out", func(r []latencyRow, _ *flashRow) { r[0].dispersion = 2500 }, "read-heavy]: p999/p50 dispersion"},
 		{"shed without Retry-After", func(r []latencyRow, _ *flashRow) { r[1].retryAfterOK = false }, "write-heavy]: a shed response was missing Retry-After"},
-		{"flash tail blew out", func(_ []latencyRow, f *flashRow) { f.p999 = 3.5 * 2500 }, "admission=on]: p999/p50 dispersion"},
+		{"flash tail blew out", func(_ []latencyRow, f *flashRow) { f.dispersion = 2500 }, "admission=on]: p999/p50 dispersion"},
 		{"unbounded flash backlog", func(_ []latencyRow, f *flashRow) { f.hotBacklog = 807 }, "hot_backlog 807 > budget 64"},
-		{"stampede leaked into cold channels", func(_ []latencyRow, f *flashRow) { f.coldP99 = 17 * 60 }, "cold-channel read p99"},
+		{"stampede leaked into cold channels", func(_ []latencyRow, f *flashRow) { f.coldRatio = 60 }, "cold-channel read p99"},
 	} {
 		rows, flash := good()
 		tc.breaks(rows, &flash)
-		v := latencyViolations(rows, flash, rows[0].coldP99)
+		v := latencyViolations(rows, flash)
 		if len(v) != 1 || !strings.Contains(v[0], tc.want) {
 			t.Errorf("%s: violations %v, want exactly one mentioning %q", tc.name, v, tc.want)
 		}

@@ -154,10 +154,11 @@ func (s *Service) releaseWrite() {
 	}
 }
 
-// admitChannelWrite checks the channel's mailbox backlog before decoding
-// an ingest body, answering 429 + Retry-After and reporting false when
-// the channel is over budget. A channel with no session yet is always
-// admitted — there is nothing queued to protect.
+// admitChannelWrite checks the channel's mailbox backlog (Session.Pending:
+// queued batches plus the one being processed) before decoding an ingest
+// body, answering 429 + Retry-After and reporting false when the channel
+// is over budget. A channel with no session yet is always admitted —
+// there is nothing queued to protect.
 func (s *Service) admitChannelWrite(w http.ResponseWriter, channel string) bool {
 	if s.DisableAdmission {
 		return true
@@ -169,7 +170,7 @@ func (s *Service) admitChannelWrite(w http.ResponseWriter, channel string) bool 
 	if limit := s.maxChannelBacklog(); sess.Pending() >= limit {
 		s.shed.channelBacklog.Add(1)
 		shedError(w, http.StatusTooManyRequests, backlogRetryAfterSeconds, "channel_backlog",
-			fmt.Sprintf("channel %q over backlog budget (%d batches queued)", channel, limit))
+			fmt.Sprintf("channel %q over backlog budget (%d batches queued or in flight)", channel, limit))
 		return false
 	}
 	return true

@@ -486,10 +486,13 @@ func (s *Service) SubscribeDots(channel string, cursor int) (*DotStream, error) 
 		lagged:  true,
 		idx:     len(ch.subs),
 	}
+	// Signal the lagged start before publishers can see the stream: once
+	// registered, a broadcast or terminate may fill the one-slot notify
+	// first, and a blocking send here would then never return.
+	ds.notify <- struct{}{}
 	ch.subs = append(ch.subs, ds)
 	ch.mu.Unlock()
 	h.mu.Unlock()
-	ds.notify <- struct{}{}
 	return ds, nil
 }
 

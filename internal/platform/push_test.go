@@ -379,6 +379,53 @@ func TestLiveStreamErrors(t *testing.T) {
 // and its next read is ONE coalesced delta from its cursor — the
 // delivered sequence stays gap-free and converges to the full history,
 // with the intermediate versions skipped rather than queued unboundedly.
+// TestSubscribeRacesTerminate: a subscribe that a concurrent terminate
+// (or broadcast) reaches before SubscribeDots returns must still return.
+// The stream's first readiness token used to be sent after registration,
+// blocking forever once the terminate's token had filled the slot.
+func TestSubscribeRacesTerminate(t *testing.T) {
+	init, _ := trainedInitializer(t)
+	eng := liveTestEngine(t, init)
+	svc := &Service{Store: NewStore(), Engine: eng}
+	if _, err := eng.Sessions().GetOrOpen("churn"); err != nil {
+		t.Fatal(err)
+	}
+	svc.initPush()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.push.SessionClosed("churn")
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 200_000 {
+			ds, err := svc.SubscribeDots("churn", 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ds.Close()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Error("SubscribeDots hung against a concurrent terminate")
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestPushDropAndResync(t *testing.T) {
 	init, target := trainedInitializer(t)
 	eng := liveTestEngine(t, init)

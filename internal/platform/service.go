@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -575,7 +577,7 @@ func refineResponse(job engine.RefineJob) RefineJobResponse {
 // The engine processes the batch asynchronously; emitted dots surface on
 // /api/live/dots.
 func (s *Service) handleLiveChat(w http.ResponseWriter, r *http.Request) {
-	channel := r.URL.Query().Get("channel")
+	channel := queryValue(r.URL.RawQuery, "channel")
 	if channel == "" {
 		http.Error(w, "missing channel parameter", http.StatusBadRequest)
 		return
@@ -701,7 +703,7 @@ func (s *Service) handleLiveClose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleLiveDots(w http.ResponseWriter, r *http.Request) {
-	channel := r.URL.Query().Get("channel")
+	channel := queryValue(r.URL.RawQuery, "channel")
 	if channel == "" {
 		http.Error(w, "missing channel parameter", http.StatusBadRequest)
 		return
@@ -710,7 +712,7 @@ func (s *Service) handleLiveDots(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cursor := 0
-	if cq := r.URL.Query().Get("cursor"); cq != "" {
+	if cq := queryValue(r.URL.RawQuery, "cursor"); cq != "" {
 		parsed, err := strconv.Atoi(cq)
 		if err != nil || parsed < 0 {
 			http.Error(w, "invalid cursor", http.StatusBadRequest)
@@ -719,6 +721,28 @@ func (s *Service) handleLiveDots(w http.ResponseWriter, r *http.Request) {
 		cursor = parsed
 	}
 	s.ServeLiveDots(w, channel, cursor, r.Header.Get("If-None-Match"))
+}
+
+// queryValue returns the first value of key in rawQuery, as
+// url.Values.Get on the parsed query would, without building the map: the
+// hot live lanes (chat ingest, dots polls) read one or two parameters
+// per request, and a poll is otherwise allocation-free on a cache hit.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var kv string
+		kv, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if strings.Contains(kv, ";") {
+			continue // url.ParseQuery rejects the pair
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // ServeLiveDots serves the live-dots payload for (channel, cursor) onto

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -199,6 +200,23 @@ func TestLiveDotsETagContract(t *testing.T) {
 // bytes: cached, uncached (DisableReadCache), and repeat-cached responses
 // for the same (channel, cursor, version) are byte-identical, and agree
 // with a from-scratch encoding of the engine's own state.
+// TestQueryValueMatchesParseQuery: the poll lane's map-free parameter
+// lookup reads every query the way url.Values.Get does.
+func TestQueryValueMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "channel=a", "channel=a&cursor=3", "cursor=3&channel=a", "channel=a&channel=b",
+		"channel=a%2Fb+c", "chan%6Eel=x", "channel", "channel=&cursor=1", "channel=%zz&channel=ok",
+		"x=1;channel=bad&channel=good", "&&channel=a&", "channel=a=b", "cursor=%2D1",
+	} {
+		parsed, _ := url.ParseQuery(raw)
+		for _, key := range []string{"channel", "cursor"} {
+			if got, want := queryValue(raw, key), parsed.Get(key); got != want {
+				t.Errorf("queryValue(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want)
+			}
+		}
+	}
+}
+
 func TestLiveDotsReadDifferential(t *testing.T) {
 	init, target := trainedInitializer(t)
 	store := NewStore()
